@@ -7,14 +7,17 @@
 //!
 //! * `GROCOCA_FULL=1` — paper-scale runs (2 000 recorded requests per host
 //!   instead of the quick default of 300);
-//! * `GROCOCA_SEEDS=k` — average every point over `k` seeds (default 1);
+//! * `GROCOCA_SEEDS=k` — average every point over `k` seeds (default 1;
+//!   a value that is not a positive integer falls back to 1 with a
+//!   warning, like a malformed `GROCOCA_JOBS`);
 //! * `GROCOCA_JOBS=n` — run sweep cells on `n` worker threads (default:
 //!   all available cores). Every (x, scheme, seed) cell is an independent
 //!   deterministic run and results are collected in cell order, so the
 //!   output is byte-identical whatever the worker count.
 //!
-//! Each `figN_*` function both prints its table and returns the data, so
-//! the shape assertions in `benches/` and `tests/` can validate trends.
+//! Every simulation — figure sweeps and extension studies alike — runs as
+//! a cell of one pool ([`run_cells`]). Each `figN_*` function and study both
+//! prints its table and returns the data, so tests can check trends.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -23,6 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use grococa_core::{Report, RunOutput, Scheme, SimConfig, Simulation};
+use grococa_par::{EnvValueError, Slot, SuperviseOptions};
 use grococa_sim::derive_seed;
 
 /// Simulation events dispatched since the last [`take_events`] call, summed
@@ -36,12 +40,44 @@ pub fn take_events() -> u64 {
     TOTAL_EVENTS.swap(0, Ordering::Relaxed)
 }
 
-/// Runs one configuration, folding its event count into the crate-wide
-/// throughput counter.
-fn run_one(cfg: SimConfig) -> RunOutput {
-    let out = Simulation::new(cfg).run();
-    TOTAL_EVENTS.fetch_add(out.events, Ordering::Relaxed);
-    out
+/// Runs every configuration as one independent cell on `GROCOCA_JOBS`
+/// worker threads (default: all cores), returning the outputs **in input
+/// order** and folding their events into the throughput counter.
+///
+/// Only the plain-data [`SimConfig`] crosses threads — each worker
+/// constructs the (`Rc`-based, non-`Send`) [`Simulation`] locally — so the
+/// outputs are byte-identical for any worker count.
+///
+/// # Panics
+///
+/// If a cell panics, every other cell still runs, then this panics with
+/// the failure of the smallest failing cell index.
+pub fn run_cells(cells: &[SimConfig]) -> Vec<RunOutput> {
+    run_cells_with_jobs(cells, grococa_par::jobs_from_env())
+}
+
+fn run_cells_with_jobs(cells: &[SimConfig], jobs: usize) -> Vec<RunOutput> {
+    let opts = SuperviseOptions {
+        jobs,
+        max_retries: 0,
+        deadline: None,
+    };
+    let slots = grococa_par::run_attempts(cells, &opts, None, |cfg, _| {
+        grococa_par::attempt_in_thread(None, || Simulation::new(cfg.clone()).run())
+    });
+    // Slots are in input order, so the first failure met is the smallest
+    // failing index.
+    let outputs: Vec<RunOutput> = slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Done(out) => out,
+            Slot::Failed(failure) => panic!("{failure}"),
+            Slot::Skipped => unreachable!("no drain check was given"),
+        })
+        .collect();
+    let events: u64 = outputs.iter().map(|o| o.events).sum();
+    TOTAL_EVENTS.fetch_add(events, Ordering::Relaxed);
+    outputs
 }
 
 /// The three schemes every figure compares.
@@ -78,13 +114,24 @@ pub fn requests_per_mh() -> u64 {
     }
 }
 
-/// Seeds averaged per point (`GROCOCA_SEEDS`, default 1).
+const SEEDS_ENV: &str = "GROCOCA_SEEDS";
+
+/// Seeds averaged per point (`GROCOCA_SEEDS`, default 1). A set value that
+/// is not a positive integer falls back to 1 — loudly, through a one-time
+/// [`grococa_par::warn_once`] warning, exactly as for `GROCOCA_JOBS`.
 pub fn seeds_per_point() -> u64 {
-    std::env::var("GROCOCA_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&k| k > 0)
-        .unwrap_or(1)
+    let raw = std::env::var(SEEDS_ENV).ok();
+    seeds_from_value(raw.as_deref()).unwrap_or_else(|e| {
+        grococa_par::warn_once("seeds-env", &format!("{e}; falling back to 1 seed"));
+        1
+    })
+}
+
+/// Parses a raw `GROCOCA_SEEDS` value; `None` (unset) selects 1 seed.
+fn seeds_from_value(raw: Option<&str>) -> Result<u64, EnvValueError> {
+    raw.map_or(Ok(1), |v| {
+        grococa_par::positive_from_value(SEEDS_ENV, v).map(|k| k as u64)
+    })
 }
 
 /// The base configuration every figure starts from (Table II defaults at
@@ -137,11 +184,9 @@ pub fn run_sweep(
 /// [`run_sweep`] with an explicit worker count.
 ///
 /// Every (x, scheme, seed) cell is one fully independent simulation:
-/// configurations are built up front, fanned out over a self-scheduling
-/// scoped-thread pool, and collected **by cell index**. Only the plain-data
-/// [`SimConfig`] crosses threads — each worker constructs the (`Rc`-based,
-/// non-`Send`) [`Simulation`] locally. The returned points are therefore
-/// byte-identical for any `jobs`, including the inline `jobs == 1` path.
+/// configurations are built up front and run through the [`run_cells`]
+/// pool, so the returned points are byte-identical for any `jobs`,
+/// including the inline `jobs == 1` path.
 pub fn run_sweep_with_jobs(
     xs: &[f64],
     jobs: usize,
@@ -161,9 +206,7 @@ pub fn run_sweep_with_jobs(
             }
         }
     }
-    let outputs = grococa_par::run_indexed(&cells, jobs, |cfg| Simulation::new(cfg.clone()).run());
-    let events: u64 = outputs.iter().map(|o| o.events).sum();
-    TOTAL_EVENTS.fetch_add(events, Ordering::Relaxed);
+    let outputs = run_cells_with_jobs(&cells, jobs);
     let per_scheme = seeds as usize;
     let per_x = SCHEMES.len() * per_scheme;
     xs.iter()
@@ -385,53 +428,46 @@ pub struct AblationRow {
 /// mechanism's contribution. Not an experiment of the paper — an extension
 /// the design section calls for.
 pub fn ablations() -> Vec<AblationRow> {
-    use grococa_core::GroCocaToggles;
-    type Tweak = Box<dyn Fn(&mut GroCocaToggles)>;
-    let variants: Vec<(&'static str, Tweak)> = vec![
-        ("full", Box::new(|_| {})),
-        (
-            "no-signature-filter",
-            Box::new(|t| t.signature_filter = false),
-        ),
-        (
-            "no-admission-control",
-            Box::new(|t| t.admission_control = false),
-        ),
-        (
-            "no-coop-replacement",
-            Box::new(|t| t.cooperative_replacement = false),
-        ),
-        (
-            "no-compression",
-            Box::new(|t| t.compress_signatures = false),
-        ),
-        ("no-piggyback", Box::new(|t| t.piggyback_updates = false)),
+    type Tweak = fn(&mut grococa_core::GroCocaToggles);
+    let variants: [(&'static str, Tweak); 6] = [
+        ("full", |_| {}),
+        ("no-signature-filter", |t| t.signature_filter = false),
+        ("no-admission-control", |t| t.admission_control = false),
+        ("no-coop-replacement", |t| t.cooperative_replacement = false),
+        ("no-compression", |t| t.compress_signatures = false),
+        ("no-piggyback", |t| t.piggyback_updates = false),
     ];
-    let mut rows = Vec::new();
+    let cells: Vec<SimConfig> = variants
+        .iter()
+        .map(|(_, tweak)| {
+            let mut cfg = base_config(Scheme::GroCoca);
+            tweak(&mut cfg.toggles);
+            cfg
+        })
+        .collect();
+    let outputs = run_cells(&cells);
     println!("\n## Ablations — GroCoca with one mechanism disabled");
     println!(
         "{:<24} {:>10} {:>8} {:>8} {:>12} {:>10}",
         "variant", "lat(ms)", "GCH(%)", "SRV(%)", "pw/GCH", "sig msgs"
     );
-    for (name, tweak) in variants {
-        let mut cfg = base_config(Scheme::GroCoca);
-        tweak(&mut cfg.toggles);
-        let report = run_one(cfg).report;
-        println!(
-            "{:<24} {:>10.2} {:>8.2} {:>8.2} {:>12.0} {:>10}",
-            name,
-            report.access_latency_ms,
-            report.global_hit_ratio_pct,
-            report.server_request_ratio_pct,
-            report.power_per_gch_uws,
-            report.signature_messages
-        );
-        rows.push(AblationRow {
-            variant: name,
-            report,
-        });
-    }
-    rows
+    variants
+        .iter()
+        .zip(outputs)
+        .map(|(&(variant, _), out)| {
+            let report = out.report;
+            println!(
+                "{:<24} {:>10.2} {:>8.2} {:>8.2} {:>12.0} {:>10}",
+                variant,
+                report.access_latency_ms,
+                report.global_hit_ratio_pct,
+                report.server_request_ratio_pct,
+                report.power_per_gch_uws,
+                report.signature_messages
+            );
+            AblationRow { variant, report }
+        })
+        .collect()
 }
 
 /// Hybrid push+pull dissemination sweep (extension): how a broadcast
@@ -439,12 +475,8 @@ pub fn ablations() -> Vec<AblationRow> {
 /// the broadcast program grows.
 pub fn hybrid_delivery() -> Vec<(usize, Scheme, Report)> {
     use grococa_core::DataDelivery;
-    let mut rows = Vec::new();
-    println!("\n## Hybrid delivery — broadcast program size (θ = 0.8)");
-    println!(
-        "{:<12} {:<8} {:>12} {:>8} {:>8} {:>8} {:>12}",
-        "push slots", "scheme", "latency(ms)", "LCH(%)", "GCH(%)", "push(%)", "pw/req(µWs)"
-    );
+    let mut grid = Vec::new();
+    let mut cells = Vec::new();
     for slots in [0usize, 200, 500, 1_000, 2_000] {
         for scheme in [Scheme::Coca, Scheme::GroCoca] {
             let mut cfg = base_config(scheme);
@@ -457,7 +489,20 @@ pub fn hybrid_delivery() -> Vec<(usize, Scheme, Report)> {
                     max_wait_secs: 3.0,
                 };
             }
-            let report = run_one(cfg).report;
+            grid.push((slots, scheme));
+            cells.push(cfg);
+        }
+    }
+    let outputs = run_cells(&cells);
+    println!("\n## Hybrid delivery — broadcast program size (θ = 0.8)");
+    println!(
+        "{:<12} {:<8} {:>12} {:>8} {:>8} {:>8} {:>12}",
+        "push slots", "scheme", "latency(ms)", "LCH(%)", "GCH(%)", "push(%)", "pw/req(µWs)"
+    );
+    grid.into_iter()
+        .zip(outputs)
+        .map(|((slots, scheme), out)| {
+            let report = out.report;
             println!(
                 "{:<12} {:<8} {:>12.2} {:>8.1} {:>8.1} {:>8.1} {:>12.0}",
                 slots,
@@ -468,42 +513,52 @@ pub fn hybrid_delivery() -> Vec<(usize, Scheme, Report)> {
                 report.push_hit_ratio_pct,
                 report.power_per_request_uws
             );
-            rows.push((slots, scheme, report));
-        }
-    }
-    rows
+            (slots, scheme, report)
+        })
+        .collect()
+}
+
+/// A `latency/GCH` table cell, as the extension studies print them.
+fn latency_gch(report: &Report) -> String {
+    format!(
+        "{:.1}/{:.1}",
+        report.access_latency_ms, report.global_hit_ratio_pct
+    )
 }
 
 /// Compares the client-cache replacement policies under each scheme (the
 /// paper uses LRU throughout; LFU and FIFO are baselines — extension).
 pub fn policy_comparison() -> Vec<(Scheme, &'static str, Report)> {
     use grococa_core::ReplacementPolicy;
+    let schemes = [Scheme::Coca, Scheme::GroCoca];
+    let policies = [
+        ("LRU", ReplacementPolicy::Lru),
+        ("LFU", ReplacementPolicy::Lfu),
+        ("FIFO", ReplacementPolicy::Fifo),
+    ];
+    let mut cells = Vec::new();
+    for scheme in schemes {
+        for (_, policy) in policies {
+            let mut cfg = base_config(scheme);
+            cfg.cache_policy = policy;
+            cells.push(cfg);
+        }
+    }
+    let outputs = run_cells(&cells);
     let mut rows = Vec::new();
     println!("\n## Replacement policies — latency (ms) / GCH (%) per scheme");
     println!("{:<8} {:>14} {:>14} {:>14}", "scheme", "LRU", "LFU", "FIFO");
-    for scheme in [Scheme::Coca, Scheme::GroCoca] {
-        let mut cells = Vec::new();
-        for (name, policy) in [
-            ("LRU", ReplacementPolicy::Lru),
-            ("LFU", ReplacementPolicy::Lfu),
-            ("FIFO", ReplacementPolicy::Fifo),
-        ] {
-            let mut cfg = base_config(scheme);
-            cfg.cache_policy = policy;
-            let report = run_one(cfg).report;
-            cells.push(format!(
-                "{:.1}/{:.1}",
-                report.access_latency_ms, report.global_hit_ratio_pct
-            ));
-            rows.push((scheme, name, report));
-        }
+    for (scheme, row) in schemes.into_iter().zip(outputs.chunks(policies.len())) {
         println!(
             "{:<8} {:>14} {:>14} {:>14}",
             scheme.label(),
-            cells[0],
-            cells[1],
-            cells[2]
+            latency_gch(&row[0].report),
+            latency_gch(&row[1].report),
+            latency_gch(&row[2].report)
         );
+        for ((name, _), out) in policies.iter().zip(row) {
+            rows.push((scheme, *name, out.report));
+        }
     }
     rows
 }
@@ -514,27 +569,35 @@ pub fn policy_comparison() -> Vec<(Scheme, &'static str, Report)> {
 /// much of GroCoca's win comes from physical group mobility.
 pub fn mobility_models() -> Vec<(&'static str, Scheme, Report)> {
     use grococa_core::MotionModel;
-    let mut rows = Vec::new();
-    println!("\n## Mobility models — latency (ms) / GCH (%) per scheme");
-    println!("{:<20} {:>14} {:>14}", "model", "COCA", "GC");
-    for (name, model) in [
+    let models = [
         ("group-waypoint", MotionModel::GroupWaypoint),
         ("individual-waypoint", MotionModel::IndividualWaypoint),
         ("gauss-markov", MotionModel::GaussMarkov),
         ("manhattan", MotionModel::Manhattan),
-    ] {
-        let mut cells = Vec::new();
-        for scheme in [Scheme::Coca, Scheme::GroCoca] {
+    ];
+    let schemes = [Scheme::Coca, Scheme::GroCoca];
+    let mut cells = Vec::new();
+    for (_, model) in models {
+        for scheme in schemes {
             let mut cfg = base_config(scheme);
             cfg.motion_model = model;
-            let report = run_one(cfg).report;
-            cells.push(format!(
-                "{:.1}/{:.1}",
-                report.access_latency_ms, report.global_hit_ratio_pct
-            ));
-            rows.push((name, scheme, report));
+            cells.push(cfg);
         }
-        println!("{:<20} {:>14} {:>14}", name, cells[0], cells[1]);
+    }
+    let outputs = run_cells(&cells);
+    let mut rows = Vec::new();
+    println!("\n## Mobility models — latency (ms) / GCH (%) per scheme");
+    println!("{:<20} {:>14} {:>14}", "model", "COCA", "GC");
+    for ((name, _), row) in models.into_iter().zip(outputs.chunks(schemes.len())) {
+        println!(
+            "{:<20} {:>14} {:>14}",
+            name,
+            latency_gch(&row[0].report),
+            latency_gch(&row[1].report)
+        );
+        for (scheme, out) in schemes.into_iter().zip(row) {
+            rows.push((name, scheme, out.report));
+        }
     }
     rows
 }
@@ -543,34 +606,42 @@ pub fn mobility_models() -> Vec<(&'static str, Scheme, Report)> {
 /// study): what fraction of barely-active hosts does to the cooperative
 /// schemes, and what delegating singlet evictions to them recovers.
 pub fn low_activity() -> Vec<(f64, bool, Report)> {
+    let fractions = [0.0, 0.2, 0.4, 0.6];
+    let delegation = [false, true];
+    let mut cells = Vec::new();
+    for fraction in fractions {
+        for delegate in delegation {
+            let mut cfg = base_config(Scheme::GroCoca);
+            cfg.low_activity_fraction = fraction;
+            cfg.low_activity_slowdown = 10.0;
+            cfg.delegate_singlets = delegate;
+            cells.push(cfg);
+        }
+    }
+    let outputs = run_cells(&cells);
     let mut rows = Vec::new();
     println!("\n## Low-activity clients — GCH (%) / latency (ms), GroCoca");
     println!(
         "{:<12} {:>16} {:>16} {:>12}",
         "fraction", "no delegation", "delegation", "delegations"
     );
-    for fraction in [0.0, 0.2, 0.4, 0.6] {
-        let mut cells = Vec::new();
-        let mut delegations = 0;
-        for delegate in [false, true] {
-            let mut cfg = base_config(Scheme::GroCoca);
-            cfg.low_activity_fraction = fraction;
-            cfg.low_activity_slowdown = 10.0;
-            cfg.delegate_singlets = delegate;
-            let out = run_one(cfg);
-            cells.push(format!(
+    for (fraction, row) in fractions.into_iter().zip(outputs.chunks(delegation.len())) {
+        let gch_latency = |out: &RunOutput| {
+            format!(
                 "{:.1}/{:.1}",
                 out.report.global_hit_ratio_pct, out.report.access_latency_ms
-            ));
-            if delegate {
-                delegations = out.metrics.delegations;
-            }
-            rows.push((fraction, delegate, out.report));
-        }
+            )
+        };
         println!(
             "{:<12} {:>16} {:>16} {:>12}",
-            fraction, cells[0], cells[1], delegations
+            fraction,
+            gch_latency(&row[0]),
+            gch_latency(&row[1]),
+            row[1].metrics.delegations
         );
+        for (delegate, out) in delegation.into_iter().zip(row) {
+            rows.push((fraction, delegate, out.report));
+        }
     }
     rows
 }
@@ -609,6 +680,40 @@ mod tests {
             .expect("base config must be valid");
         assert!(requests_per_mh() >= 300);
         assert!(seeds_per_point() >= 1);
+    }
+
+    #[test]
+    fn seeds_value_accepts_positive_integers_only() {
+        assert_eq!(seeds_from_value(None), Ok(1));
+        assert_eq!(seeds_from_value(Some("3")), Ok(3));
+        assert_eq!(seeds_from_value(Some(" 2 ")), Ok(2));
+        for bad in ["three", "0", "-1", "", "1.5"] {
+            let err = seeds_from_value(Some(bad)).expect_err(bad);
+            assert_eq!(err.raw, bad);
+            assert!(err.to_string().contains("GROCOCA_SEEDS"), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn a_failing_cell_names_the_smallest_failing_index() {
+        let ok = SimConfig {
+            num_clients: 10,
+            requests_per_mh: 20,
+            ..SimConfig::for_scheme(Scheme::Coca)
+        };
+        // An empty cache fails validation, so `Simulation::new` panics.
+        let bad = SimConfig {
+            cache_size: 0,
+            ..ok.clone()
+        };
+        let cells = [ok.clone(), bad.clone(), ok, bad];
+        for jobs in [1, 2] {
+            let payload = std::panic::catch_unwind(|| run_cells_with_jobs(&cells, jobs))
+                .expect_err("a failing cell must panic");
+            let text = grococa_par::payload_text(payload.as_ref());
+            assert!(text.contains("job 1 "), "jobs={jobs}, got: {text}");
+            assert!(text.contains("cache"), "jobs={jobs}, got: {text}");
+        }
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! therefore everything printed or asserted downstream — is byte-identical
 //! to a serial run.
 //!
+//! [`run_attempts`] is the one pool loop. What one attempt of a job means is
+//! pluggable: [`attempt_in_thread`] runs it on the worker thread and turns a
+//! panic into an [`AttemptFailure`]; the CLI's process-isolation mode runs
+//! it in a child process instead.
+//!
 //! The job *inputs* stay on the caller's stack and are only shared (`Sync`);
 //! the worker builds whatever non-`Send` machinery it needs (the simulator
 //! is `Rc`-based) inside the closure.
@@ -16,8 +21,13 @@
 //! # Examples
 //!
 //! ```
-//! let squares = grococa_par::run_indexed(&[1u64, 2, 3, 4], 2, |&x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
+//! use grococa_par::{attempt_in_thread, run_attempts, Slot, SuperviseOptions};
+//!
+//! let opts = SuperviseOptions { jobs: 2, max_retries: 0, deadline: None };
+//! let slots = run_attempts(&[1u64, 2, 3, 4], &opts, None, |&x, _| {
+//!     attempt_in_thread(None, || x * x)
+//! });
+//! assert_eq!(slots, [1, 4, 9, 16].map(Slot::Done));
 //! ```
 
 #![warn(missing_docs)]
@@ -39,15 +49,6 @@ pub fn payload_text(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-/// Runs one job, re-panicking with the job index in the message so a
-/// failure in a 600-cell sweep points at the exact cell.
-fn run_job<I, O>(f: &impl Fn(&I) -> O, input: &I, idx: usize) -> O {
-    match catch_unwind(AssertUnwindSafe(|| f(input))) {
-        Ok(out) => out,
-        Err(payload) => panic!("job {idx} panicked: {}", payload_text(payload.as_ref())),
-    }
-}
-
 /// The environment variable selecting the degree of parallelism.
 pub const JOBS_ENV: &str = "GROCOCA_JOBS";
 
@@ -66,9 +67,9 @@ pub fn quiet() -> bool {
 
 /// Prints `warning: {message}` to stderr **once per process per `key`**,
 /// unless [`QUIET_ENV`] is set. Every harness-side warning (unparsable
-/// `GROCOCA_JOBS`, journal truncation, journaling degradation) routes
-/// through here so repeated work never spams and tests can opt out
-/// wholesale.
+/// `GROCOCA_JOBS` or `GROCOCA_SEEDS`, journal truncation, journaling
+/// degradation) routes through here so repeated work never spams and
+/// tests can opt out wholesale.
 pub fn warn_once(key: &str, message: &str) {
     static EMITTED: Mutex<Vec<String>> = Mutex::new(Vec::new());
     if quiet() {
@@ -82,24 +83,48 @@ pub fn warn_once(key: &str, message: &str) {
     eprintln!("warning: {message}");
 }
 
-/// A malformed `GROCOCA_JOBS` value: set, but not a positive integer.
+/// A malformed count in an environment variable: set, but not a positive
+/// integer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobsEnvError {
+pub struct EnvValueError {
+    /// The variable's name.
+    pub var: &'static str,
     /// The offending value, verbatim.
     pub raw: String,
 }
 
-impl std::fmt::Display for JobsEnvError {
+impl std::fmt::Display for EnvValueError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{JOBS_ENV}={:?} is not a positive integer worker count",
-            self.raw
-        )
+        write!(f, "{}={:?} is not a positive integer", self.var, self.raw)
     }
 }
 
-impl std::error::Error for JobsEnvError {}
+impl std::error::Error for EnvValueError {}
+
+/// Parses the raw value of the count variable `var`: a positive integer,
+/// surrounding whitespace allowed.
+///
+/// # Errors
+///
+/// Returns [`EnvValueError`] naming `var` and carrying `raw` when the value
+/// is not a positive integer.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(grococa_par::positive_from_value("N", " 3 "), Ok(3));
+/// assert!(grococa_par::positive_from_value("N", "0").is_err());
+/// ```
+pub fn positive_from_value(var: &'static str, raw: &str) -> Result<usize, EnvValueError> {
+    raw.trim()
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| EnvValueError {
+            var,
+            raw: raw.to_string(),
+        })
+}
 
 /// Parses a raw `GROCOCA_JOBS` value. `None` (unset) selects the default;
 /// a set-but-invalid value is an error rather than a silent fallback, so a
@@ -107,7 +132,7 @@ impl std::error::Error for JobsEnvError {}
 ///
 /// # Errors
 ///
-/// Returns [`JobsEnvError`] carrying the offending value when it is set
+/// Returns [`EnvValueError`] carrying the offending value when it is set
 /// but not a positive integer.
 ///
 /// # Examples
@@ -118,27 +143,11 @@ impl std::error::Error for JobsEnvError {}
 /// assert!(grococa_par::jobs_from_value(Some("0")).is_err());
 /// assert!(grococa_par::jobs_from_value(None).unwrap() >= 1);
 /// ```
-pub fn jobs_from_value(raw: Option<&str>) -> Result<usize, JobsEnvError> {
+pub fn jobs_from_value(raw: Option<&str>) -> Result<usize, EnvValueError> {
     match raw {
         None => Ok(default_jobs()),
-        Some(v) => v
-            .trim()
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| JobsEnvError { raw: v.to_string() }),
+        Some(v) => positive_from_value(JOBS_ENV, v),
     }
-}
-
-/// The worker count from `GROCOCA_JOBS`, as a `Result`: unset selects the
-/// default (all cores), a malformed value is an error.
-///
-/// # Errors
-///
-/// Returns [`JobsEnvError`] when the variable is set but invalid.
-pub fn try_jobs_from_env() -> Result<usize, JobsEnvError> {
-    let raw = std::env::var(JOBS_ENV).ok();
-    jobs_from_value(raw.as_deref())
 }
 
 /// The worker count selected by `GROCOCA_JOBS`, defaulting to the number of
@@ -154,16 +163,14 @@ pub fn try_jobs_from_env() -> Result<usize, JobsEnvError> {
 /// assert!(grococa_par::jobs_from_env() >= 1);
 /// ```
 pub fn jobs_from_env() -> usize {
-    match try_jobs_from_env() {
-        Ok(n) => n,
-        Err(e) => {
-            warn_once(
-                "jobs-env",
-                &format!("{e}; falling back to {} worker(s)", default_jobs()),
-            );
-            default_jobs()
-        }
-    }
+    let raw = std::env::var(JOBS_ENV).ok();
+    jobs_from_value(raw.as_deref()).unwrap_or_else(|e| {
+        warn_once(
+            "jobs-env",
+            &format!("{e}; falling back to {} worker(s)", default_jobs()),
+        );
+        default_jobs()
+    })
 }
 
 /// The default degree of parallelism: the number of available cores.
@@ -171,98 +178,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Runs `f` over every input on a pool of `jobs` scoped threads, returning
-/// the outputs **in input order**.
-///
-/// Scheduling is dynamic: workers repeatedly claim the next unclaimed index
-/// from a shared cursor, so long-running cells never leave idle cores
-/// behind a static partition. With `jobs == 1` (or a single input) the
-/// inputs are processed inline on the calling thread — the parallel and
-/// serial paths produce identical output by construction, since each output
-/// slot depends only on its own input.
-///
-/// # Panics
-///
-/// If any job panics, re-panics after all threads have stopped with a
-/// message naming the **smallest failing job index** plus the original
-/// panic text — in a grid sweep that pinpoints the exact cell.
-///
-/// # Examples
-///
-/// ```
-/// let inputs: Vec<u32> = (0..100).collect();
-/// let serial = grococa_par::run_indexed(&inputs, 1, |&x| x.wrapping_mul(x));
-/// let parallel = grococa_par::run_indexed(&inputs, 8, |&x| x.wrapping_mul(x));
-/// assert_eq!(serial, parallel);
-/// ```
-pub fn run_indexed<I, O, F>(inputs: &[I], jobs: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let n = inputs.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs <= 1 || n <= 1 {
-        return inputs
-            .iter()
-            .enumerate()
-            .map(|(idx, input)| run_job(&f, input, idx))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, O)> = Vec::with_capacity(n);
-    // The smallest-indexed panic across all workers, if any.
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n {
-                            return (local, None);
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&inputs[idx]))) {
-                            Ok(out) => local.push((idx, out)),
-                            // Stop claiming; sibling workers drain the rest.
-                            Err(payload) => return (local, Some((idx, payload))),
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, panicked) = handle
-                .join()
-                .expect("worker panics are caught inside the worker");
-            collected.extend(local);
-            if let Some((idx, payload)) = panicked {
-                if first_panic.as_ref().is_none_or(|&(best, _)| idx < best) {
-                    first_panic = Some((idx, payload));
-                }
-            }
-        }
-    });
-    if let Some((idx, payload)) = first_panic {
-        panic!("job {idx} panicked: {}", payload_text(payload.as_ref()));
-    }
-    collected.sort_by_key(|&(idx, _)| idx);
-    collected.into_iter().map(|(_, out)| out).collect()
-}
-
-/// [`run_indexed`] with the worker count from `GROCOCA_JOBS` (default: all
-/// available cores).
-pub fn run<I, O, F>(inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    run_indexed(inputs, jobs_from_env(), f)
 }
 
 /// Why a quarantined job failed — the enforced classification that the
@@ -347,6 +262,47 @@ impl AttemptFailure {
     }
 }
 
+/// The thread-mode attempt runner: runs `f` once on the calling thread and
+/// turns a panic into an [`AttemptFailure`] carrying the panic text.
+///
+/// `deadline` is an advisory watchdog on the monotonic clock: it cannot
+/// preempt a healthy job, but a panicking attempt that also ran past it is
+/// classified [`FailureKind::Deadline`] instead of [`FailureKind::Panic`],
+/// distinguishing "panicked instantly" from "ground for minutes, then
+/// died". The CLI's process-isolation mode turns the deadline into a hard
+/// kill.
+///
+/// # Errors
+///
+/// Returns the classified [`AttemptFailure`] when `f` panics.
+///
+/// # Examples
+///
+/// ```
+/// use grococa_par::{attempt_in_thread, FailureKind};
+///
+/// assert_eq!(attempt_in_thread(None, || 7), Ok(7));
+/// let failure = attempt_in_thread(None, || -> u32 { panic!("boom") }).unwrap_err();
+/// assert_eq!((failure.kind, failure.message.as_str()), (FailureKind::Panic, "boom"));
+/// ```
+pub fn attempt_in_thread<O>(
+    deadline: Option<Duration>,
+    f: impl FnOnce() -> O,
+) -> Result<O, AttemptFailure> {
+    let started = Instant::now(); // tidy:allow(wall-clock): harness watchdog; never feeds back into the sim
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        let overran = deadline.is_some_and(|d| started.elapsed() > d);
+        AttemptFailure {
+            kind: if overran {
+                FailureKind::Deadline
+            } else {
+                FailureKind::Panic
+            },
+            message: payload_text(payload.as_ref()).to_string(),
+        }
+    })
+}
+
 /// The outcome of one supervised slot under [`run_attempts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Slot<O> {
@@ -359,21 +315,19 @@ pub enum Slot<O> {
     Skipped,
 }
 
-/// Tuning for [`run_supervised`]: pool width, bounded retry, watchdog.
+/// Tuning for [`run_attempts`]: pool width, bounded retry, watchdog.
 #[derive(Debug, Clone)]
 pub struct SuperviseOptions {
-    /// Worker threads (clamped like [`run_indexed`]).
+    /// Worker threads, clamped to `1..=inputs.len()`.
     pub jobs: usize,
-    /// Re-attempts after a job's first panic. Retries are deterministic —
+    /// Re-attempts after a job's first failure. Retries are deterministic —
     /// the same input is re-run by the same closure — so they only help
     /// against harness-transient failures (allocation pressure, injected
     /// chaos), never against a deterministic bug; keep the bound small.
     pub max_retries: u32,
-    /// Per-attempt watchdog deadline on the monotonic clock; failing
-    /// attempts that ran past it are classified
-    /// [`FailureKind::Deadline`]. Advisory in thread mode (it cannot
-    /// preempt a healthy job); the CLI's process-isolation mode turns it
-    /// into a hard kill.
+    /// Per-attempt watchdog deadline on the monotonic clock, handed to the
+    /// attempt runner: advisory in thread mode ([`attempt_in_thread`]), a
+    /// hard kill in the CLI's process-isolation mode.
     pub deadline: Option<Duration>,
 }
 
@@ -401,7 +355,7 @@ fn attempt_with_retry<I, O>(
     index: usize,
     opts: &SuperviseOptions,
     draining: &impl Fn() -> bool,
-) -> Result<O, JobFailure> {
+) -> Slot<O> {
     let budget = opts.max_retries.saturating_add(1);
     let mut made = 0u32;
     let mut last: Option<AttemptFailure> = None;
@@ -411,12 +365,12 @@ fn attempt_with_retry<I, O>(
         }
         made += 1;
         match attempt(input, index) {
-            Ok(out) => return Ok(out),
+            Ok(out) => return Slot::Done(out),
             Err(failure) => last = Some(failure),
         }
     }
     let failure = last.expect("retry budget is at least one attempt");
-    Err(JobFailure {
+    Slot::Failed(JobFailure {
         index,
         message: failure.message,
         attempts: made,
@@ -424,16 +378,24 @@ fn attempt_with_retry<I, O>(
     })
 }
 
-/// The generalised supervision engine: runs the pluggable `attempt`
-/// runner over every input on a pool of [`SuperviseOptions::jobs`]
-/// scoped threads, with bounded retry and an optional **drain check**.
+/// The worker pool: runs the pluggable `attempt` runner over every input on
+/// [`SuperviseOptions::jobs`] scoped threads, with bounded retry and an
+/// optional **drain check**.
 ///
-/// This is the seam both execution modes share: thread-mode supervision
-/// ([`run_supervised`]) passes a `catch_unwind` attempt runner, and the
-/// CLI's process-isolation mode passes one that re-execs each cell as a
-/// child process and hard-kills it on deadline or memory-ceiling
-/// overrun. The engine itself never catches panics — the attempt runner
-/// must be total (return `Err`, not unwind).
+/// Scheduling is dynamic: workers repeatedly claim the next unclaimed index
+/// from a shared cursor, so long-running cells never leave idle cores
+/// behind a static partition. With one worker (or a single input) the
+/// inputs are processed inline on the calling thread — the parallel and
+/// serial paths produce identical output by construction, since each slot
+/// depends only on its own input.
+///
+/// Every execution mode shares this loop: the figure harness and the CLI's
+/// thread mode pass [`attempt_in_thread`], and the CLI's process-isolation
+/// mode passes a runner that re-execs each cell as a child process and
+/// hard-kills it on deadline or memory-ceiling overrun. The pool itself
+/// never catches panics — the attempt runner must be total (return `Err`,
+/// not unwind). A failing job is quarantined in its slot while every other
+/// job still runs.
 ///
 /// When `drain` reports `true`, workers stop claiming new inputs;
 /// in-flight attempts finish and every unclaimed slot is returned as
@@ -459,10 +421,7 @@ where
             if draining() {
                 break;
             }
-            slots[idx] = match attempt_with_retry(&attempt, input, idx, opts, &draining) {
-                Ok(out) => Slot::Done(out),
-                Err(failure) => Slot::Failed(failure),
-            };
+            slots[idx] = attempt_with_retry(&attempt, input, idx, opts, &draining);
         }
         return slots;
     }
@@ -481,16 +440,7 @@ where
                         if idx >= n {
                             return local;
                         }
-                        let slot = match attempt_with_retry(
-                            &attempt,
-                            &inputs[idx],
-                            idx,
-                            opts,
-                            &draining,
-                        ) {
-                            Ok(out) => Slot::Done(out),
-                            Err(failure) => Slot::Failed(failure),
-                        };
+                        let slot = attempt_with_retry(&attempt, &inputs[idx], idx, opts, &draining);
                         local.push((idx, slot));
                     }
                 })
@@ -509,79 +459,50 @@ where
     slots
 }
 
-/// Runs `f` over every input like [`run_indexed`], but **quarantines**
-/// failures instead of aborting the grid: a panicking job is retried up to
-/// [`SuperviseOptions::max_retries`] times and, if it keeps failing, its
-/// slot records a [`JobFailure`] (panic text, job index, attempt count,
-/// watchdog flag) while every other job still runs to completion.
-///
-/// Outputs are returned **in input order**, so downstream rendering is
-/// byte-identical for any worker count — the crash-safe sweep harness
-/// builds directly on this.
-///
-/// # Examples
-///
-/// ```
-/// use grococa_par::{run_supervised, SuperviseOptions};
-///
-/// let results = run_supervised(&[1u32, 2, 3], &SuperviseOptions::with_jobs(2), |&x| {
-///     assert!(x != 2, "boom");
-///     x * 10
-/// });
-/// assert_eq!(results[0].as_ref().unwrap(), &10);
-/// assert_eq!(results[1].as_ref().unwrap_err().index, 1);
-/// assert_eq!(results[2].as_ref().unwrap(), &30);
-/// ```
-pub fn run_supervised<I, O, F>(
-    inputs: &[I],
-    opts: &SuperviseOptions,
-    f: F,
-) -> Vec<Result<O, JobFailure>>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let slots = run_attempts(inputs, opts, None, |input, _idx| {
-        let started = Instant::now(); // tidy:allow(wall-clock): harness watchdog; never feeds back into the sim
-        match catch_unwind(AssertUnwindSafe(|| f(input))) {
-            Ok(out) => Ok(out),
-            Err(payload) => {
-                // The advisory watchdog cannot preempt a running job; it
-                // classifies a panicking attempt that also overran the
-                // deadline, distinguishing "panicked instantly" from
-                // "ground for minutes, then died".
-                let overran = opts.deadline.is_some_and(|d| started.elapsed() > d);
-                Err(AttemptFailure {
-                    kind: if overran {
-                        FailureKind::Deadline
-                    } else {
-                        FailureKind::Panic
-                    },
-                    message: payload_text(payload.as_ref()).to_string(),
-                })
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Done(out) => Ok(out),
-            Slot::Failed(failure) => Err(failure),
-            Slot::Skipped => unreachable!("no drain check was given"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// The thread-mode pool every harness builds: `jobs` workers,
+    /// `max_retries` re-attempts, panics caught by [`attempt_in_thread`].
+    fn pool<I: Sync, O: Send>(
+        inputs: &[I],
+        jobs: usize,
+        max_retries: u32,
+        f: impl Fn(&I) -> O + Sync,
+    ) -> Vec<Slot<O>> {
+        let opts = SuperviseOptions {
+            jobs,
+            max_retries,
+            deadline: None,
+        };
+        run_attempts(inputs, &opts, None, |input, _| {
+            attempt_in_thread(None, || f(input))
+        })
+    }
+
+    /// The outputs of an all-successful pool run.
+    fn outputs<O: std::fmt::Debug>(slots: Vec<Slot<O>>) -> Vec<O> {
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Slot::Done(out) => out,
+                other => panic!("expected a completed slot, got {other:?}"),
+            })
+            .collect()
+    }
+
+    fn failure<O: std::fmt::Debug>(slot: &Slot<O>) -> &JobFailure {
+        match slot {
+            Slot::Failed(failure) => failure,
+            other => panic!("expected a failed slot, got {other:?}"),
+        }
+    }
+
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = run_indexed(&[] as &[u32], 4, |&x| x);
-        assert!(out.is_empty());
+        assert!(pool(&[] as &[u32], 4, 0, |&x| x).is_empty());
     }
 
     #[test]
@@ -589,23 +510,26 @@ mod tests {
         // Make early indices the slowest so completion order inverts
         // submission order; collection must still be index-ordered.
         let inputs: Vec<u64> = (0..64).collect();
-        let out = run_indexed(&inputs, 8, |&x| {
-            std::thread::sleep(std::time::Duration::from_micros((64 - x) * 50));
+        let out = outputs(pool(&inputs, 8, 0, |&x| {
+            std::thread::sleep(Duration::from_micros((64 - x) * 50));
             x * 3
-        });
+        }));
         assert_eq!(out, inputs.iter().map(|x| x * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
+        // Failures included: a quarantined slot must be the same failure
+        // whichever worker ran it.
         let inputs: Vec<u64> = (0..257).collect();
         let work = |&x: &u64| {
+            assert!(x % 11 != 3, "boom {x}");
             // A little arithmetic so the compiler cannot collapse the job.
             (0..50).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
         };
-        let serial = run_indexed(&inputs, 1, work);
-        for jobs in [2, 3, 4, 16] {
-            assert_eq!(run_indexed(&inputs, jobs, work), serial, "jobs={jobs}");
+        let serial = pool(&inputs, 1, 0, work);
+        for jobs in [2, 3, 4, 5, 16] {
+            assert_eq!(pool(&inputs, jobs, 0, work), serial, "jobs={jobs}");
         }
     }
 
@@ -613,30 +537,34 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let counter = AtomicU64::new(0);
         let inputs: Vec<u32> = (0..1000).collect();
-        let out = run_indexed(&inputs, 7, |&x| {
+        let out = outputs(pool(&inputs, 7, 0, |&x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x
-        });
+        }));
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        assert_eq!(out.len(), 1000);
+        assert_eq!(out, inputs);
     }
 
     #[test]
     fn oversized_pool_is_clamped() {
-        let inputs = [1u8, 2];
-        assert_eq!(run_indexed(&inputs, 100, |&x| x + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let inputs: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 4, |&x| {
-                assert!(x != 9, "boom");
-                x
-            })
+        // Every worker polls the drain check once per claim and once more
+        // before it exits, so two inputs on a pool clamped to two workers
+        // make exactly four polls; 100 unclamped workers would make 102.
+        let polls = AtomicU64::new(0);
+        let drain = || {
+            polls.fetch_add(1, Ordering::Relaxed);
+            false
+        };
+        let opts = SuperviseOptions {
+            jobs: 100,
+            max_retries: 0,
+            deadline: None,
+        };
+        let slots = run_attempts(&[1u8, 2], &opts, Some(&drain), |&x, _| {
+            Ok::<u8, AttemptFailure>(x + 1)
         });
-        assert!(result.is_err());
+        assert_eq!(outputs(slots), vec![2, 3]);
+        assert_eq!(polls.load(Ordering::Relaxed), 4);
     }
 
     #[test]
@@ -644,39 +572,44 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
-    }
-
     #[test]
-    fn worker_panic_is_tagged_with_job_index() {
+    fn failure_carries_job_index_and_panic_text() {
         let inputs: Vec<u32> = (0..16).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 4, |&x| {
+        for jobs in [1, 4] {
+            let slots = pool(&inputs, jobs, 0, |&x| {
                 assert!(x != 9, "boom");
                 x
-            })
-        });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 9"), "got: {text}");
-        assert!(text.contains("boom"), "got: {text}");
+            });
+            let fail = failure(&slots[9]);
+            assert_eq!((fail.index, fail.kind), (9, FailureKind::Panic));
+            let shown = fail.to_string();
+            assert!(shown.contains("job 9"), "got: {shown}");
+            assert!(shown.contains("boom"), "got: {shown}");
+            assert_eq!(
+                slots.iter().filter(|s| matches!(s, Slot::Done(_))).count(),
+                15
+            );
+        }
     }
 
     #[test]
-    fn inline_panic_is_tagged_with_job_index() {
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&[1u32, 2, 3], 1, |&x| {
-                assert!(x != 3, "kaboom");
-                x
-            })
+    fn smallest_failing_index_is_reported_first() {
+        // Every job ≥ 20 fails. Slots come back in input order, so the
+        // first failure a caller meets is job 20, whichever worker ran it,
+        // and no later job is dropped on the way.
+        let inputs: Vec<u32> = (0..32).collect();
+        let slots = pool(&inputs, 8, 0, |&x| {
+            assert!(x < 20, "late failure");
+            x
         });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 2"), "got: {text}");
-        assert!(text.contains("kaboom"), "got: {text}");
+        let first = slots.iter().find_map(|s| match s {
+            Slot::Failed(f) => Some(f),
+            _ => None,
+        });
+        assert_eq!(first.map(|f| f.index), Some(20));
+        for (i, slot) in slots.iter().enumerate().skip(20) {
+            assert_eq!(failure(slot).index, i);
+        }
     }
 
     #[test]
@@ -692,72 +625,48 @@ mod tests {
     }
 
     #[test]
-    fn supervised_quarantines_failures_and_completes_the_rest() {
+    fn quarantines_failures_and_completes_the_rest() {
         let inputs: Vec<u32> = (0..64).collect();
-        let opts = SuperviseOptions::with_jobs(8);
-        let results = run_supervised(&inputs, &opts, |&x| {
+        let slots = pool(&inputs, 8, 1, |&x| {
             assert!(x % 13 != 5, "unlucky {x}");
             x * 2
         });
-        assert_eq!(results.len(), 64);
-        for (i, r) in results.iter().enumerate() {
+        assert_eq!(slots.len(), 64);
+        for (i, slot) in slots.iter().enumerate() {
             if i % 13 == 5 {
-                let fail = r.as_ref().expect_err("quarantined");
+                let fail = failure(slot);
                 assert_eq!(fail.index, i);
                 assert_eq!(fail.attempts, 2);
                 assert!(fail.message.contains(&format!("unlucky {i}")));
                 assert_eq!(fail.kind, FailureKind::Panic);
             } else {
-                assert_eq!(*r.as_ref().expect("completed"), i as u32 * 2);
+                assert_eq!(*slot, Slot::Done(i as u32 * 2));
             }
         }
     }
 
     #[test]
-    fn supervised_serial_and_parallel_agree() {
-        let inputs: Vec<u32> = (0..97).collect();
-        let work = |&x: &u32| {
-            assert!(x % 11 != 3, "boom {x}");
-            x.wrapping_mul(2654435761)
-        };
-        let serial = run_supervised(&inputs, &SuperviseOptions::with_jobs(1), work);
-        for jobs in [2, 5, 16] {
-            let par = run_supervised(&inputs, &SuperviseOptions::with_jobs(jobs), work);
-            assert_eq!(par, serial, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn supervised_retry_rescues_transient_failures() {
-        use std::sync::Mutex;
+    fn one_retry_rescues_transient_failures() {
         // Fail every input's first attempt, succeed on the retry.
         let seen = Mutex::new(std::collections::BTreeSet::new());
         let inputs: Vec<u32> = (0..8).collect();
-        let opts = SuperviseOptions {
-            jobs: 3,
-            max_retries: 1,
-            deadline: None,
-        };
-        let results = run_supervised(&inputs, &opts, |&x| {
+        let out = outputs(pool(&inputs, 3, 1, |&x| {
             let fresh = seen.lock().unwrap().insert(x);
             assert!(!fresh, "transient failure for {x}");
             x + 100
-        });
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(*r.as_ref().expect("rescued on retry"), i as u32 + 100);
-        }
+        }));
+        assert_eq!(out, (100..108).collect::<Vec<_>>());
     }
 
     #[test]
-    fn supervised_zero_retries_fails_immediately() {
-        let opts = SuperviseOptions {
-            jobs: 1,
-            max_retries: 0,
-            deadline: None,
-        };
-        let results = run_supervised(&[1u32], &opts, |_| -> u32 { panic!("once") });
-        let fail = results[0].as_ref().expect_err("fails");
-        assert_eq!(fail.attempts, 1);
+    fn zero_retries_means_exactly_one_attempt() {
+        let tried = AtomicU64::new(0);
+        let slots = pool(&[1u32], 1, 0, |_| -> u32 {
+            tried.fetch_add(1, Ordering::Relaxed);
+            panic!("once")
+        });
+        assert_eq!(failure(&slots[0]).attempts, 1);
+        assert_eq!(tried.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -767,15 +676,17 @@ mod tests {
             max_retries: 0,
             deadline: Some(Duration::from_millis(1)),
         };
-        let results = run_supervised(&[0u32, 1], &opts, |&x| -> u32 {
-            if x == 1 {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            panic!("dies either way")
+        let slots = run_attempts(&[0u32, 1], &opts, None, |&x, _| {
+            attempt_in_thread(opts.deadline, || -> u32 {
+                if x == 1 {
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+                panic!("dies either way")
+            })
         });
-        assert_eq!(results[0].as_ref().unwrap_err().kind, FailureKind::Panic);
-        assert_eq!(results[1].as_ref().unwrap_err().kind, FailureKind::Deadline);
-        let shown = results[1].as_ref().unwrap_err().to_string();
+        assert_eq!(failure(&slots[0]).kind, FailureKind::Panic);
+        assert_eq!(failure(&slots[1]).kind, FailureKind::Deadline);
+        let shown = failure(&slots[1]).to_string();
         assert!(shown.contains("[deadline]"), "got: {shown}");
     }
 
@@ -821,13 +732,9 @@ mod tests {
             tried.fetch_add(1, Ordering::Relaxed);
             Err::<u32, _>(AttemptFailure::panic("always"))
         });
-        match &slots[0] {
-            Slot::Failed(fail) => {
-                assert_eq!(fail.attempts, 1, "drain must cut the retry budget");
-                assert_eq!(fail.kind, FailureKind::Panic);
-            }
-            other => panic!("expected failure, got {other:?}"),
-        }
+        let fail = failure(&slots[0]);
+        assert_eq!(fail.attempts, 1, "drain must cut the retry budget");
+        assert_eq!(fail.kind, FailureKind::Panic);
     }
 
     #[test]
@@ -850,37 +757,10 @@ mod tests {
             })
         });
         for (i, slot) in slots.iter().enumerate() {
-            match slot {
-                Slot::Failed(fail) => {
-                    assert_eq!(fail.kind, kinds[i]);
-                    assert_eq!(fail.index, i);
-                    assert!(fail.message.contains(kinds[i].label()));
-                }
-                other => panic!("expected failure, got {other:?}"),
-            }
+            let fail = failure(slot);
+            assert_eq!(fail.kind, kinds[i]);
+            assert_eq!(fail.index, i);
+            assert!(fail.message.contains(kinds[i].label()));
         }
-    }
-
-    #[test]
-    fn supervised_empty_input() {
-        let out: Vec<Result<u32, _>> =
-            run_supervised(&[] as &[u32], &SuperviseOptions::with_jobs(4), |&x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn smallest_failing_index_wins() {
-        // Every job ≥ 20 fails; the cursor hands out indices in order, so
-        // 20 is always the first claimed failure and must be the one
-        // reported, no matter which worker hit it.
-        let inputs: Vec<u32> = (0..32).collect();
-        let result = std::panic::catch_unwind(|| {
-            run_indexed(&inputs, 8, |&x| {
-                assert!(x < 20, "late failure");
-                x
-            })
-        });
-        let text = panic_message(result.expect_err("must panic"));
-        assert!(text.contains("job 20"), "got: {text}");
     }
 }
