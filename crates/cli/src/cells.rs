@@ -13,6 +13,8 @@
 //!            signal-drain stamps after its final flushed record
 //! ```
 //!
+//! Both directions go through [`grococa_sim::codec`].
+//!
 //! Decoding is total: anything malformed yields `None`, never a panic —
 //! the journal layer already checksums records, so a decode failure here
 //! means a version skew the fingerprint should have caught, and the cell
@@ -21,6 +23,7 @@
 use grococa_core::{Report, Scheme, SimConfig};
 use grococa_journal::Fingerprint;
 use grococa_par::FailureKind;
+use grococa_sim::codec::{checksum, Reader, Writer};
 
 /// One journaled cell outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,19 +76,19 @@ pub fn sweep_fingerprint(
     values: &[f64],
     cells: usize,
 ) -> Fingerprint {
-    let mut tag = Vec::new();
-    tag.extend_from_slice(&base.canonical_fingerprint().to_le_bytes());
-    tag.extend_from_slice(param.as_bytes());
-    tag.push(0);
-    for v in values {
-        tag.extend_from_slice(&v.to_bits().to_le_bytes());
+    let mut tag = Writer::new();
+    tag.u64(base.canonical_fingerprint());
+    tag.bytes(param.as_bytes());
+    tag.u8(0);
+    for &v in values {
+        tag.f64(v);
     }
     for scheme in [Scheme::Conventional, Scheme::Coca, Scheme::GroCoca] {
-        tag.extend_from_slice(scheme.label().as_bytes());
-        tag.push(0);
+        tag.bytes(scheme.label().as_bytes());
+        tag.u8(0);
     }
     Fingerprint {
-        config_hash: grococa_journal::checksum(&tag),
+        config_hash: checksum(tag.as_slice()),
         cells: cells as u64,
         version: env!("CARGO_PKG_VERSION").to_string(),
     }
@@ -134,84 +137,59 @@ fn report_from_words(w: &[u64; 16]) -> Report {
     }
 }
 
+/// The payload prefix every record shares: cell index, then status.
+fn record(index: usize, status: u8) -> Writer {
+    let mut w = Writer::new();
+    w.usize(index);
+    w.u8(status);
+    w
+}
+
 /// Encodes a completed cell.
 pub fn encode_ok(index: usize, report: &Report) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 1 + 16 * 8);
-    out.extend_from_slice(&(index as u64).to_le_bytes());
-    out.push(1);
+    let mut w = record(index, 1);
     for word in report_words(report) {
-        out.extend_from_slice(&word.to_le_bytes());
+        w.u64(word);
     }
-    out
+    w.into_vec()
 }
 
 /// Encodes a quarantined cell (informational; resume re-runs it).
 pub fn encode_failed(index: usize, kind: FailureKind, attempts: u32, message: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 1 + 1 + 4 + 4 + message.len());
-    out.extend_from_slice(&(index as u64).to_le_bytes());
-    out.push(0);
-    out.push(kind_to_byte(kind));
-    out.extend_from_slice(&attempts.to_le_bytes());
-    out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-    out.extend_from_slice(message.as_bytes());
-    out
+    let mut w = record(index, 0);
+    w.u8(kind_to_byte(kind));
+    w.u32(attempts);
+    w.str(message);
+    w.into_vec()
 }
 
 /// Encodes the drain trailer a graceful shutdown appends last.
 pub fn encode_drained() -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 1);
-    out.extend_from_slice(&0u64.to_le_bytes());
-    out.push(2);
-    out
+    record(0, 2).into_vec()
 }
 
 /// Decodes one journal payload. Total: malformed input is `None`.
 pub fn decode(payload: &[u8]) -> Option<(usize, CellRecord)> {
-    if payload.len() < 9 {
-        return None;
-    }
-    let index = u64::from_le_bytes(payload[..8].try_into().ok()?);
-    let index = usize::try_from(index).ok()?;
-    let body = &payload[9..];
-    match payload[8] {
+    let mut r = Reader::new(payload);
+    let index = r.usize().ok()?;
+    let record = match r.u8().ok()? {
         1 => {
-            if body.len() != 16 * 8 {
-                return None;
-            }
             let mut words = [0u64; 16];
-            for (i, chunk) in body.chunks_exact(8).enumerate() {
-                words[i] = u64::from_le_bytes(chunk.try_into().ok()?);
+            for word in &mut words {
+                *word = r.u64().ok()?;
             }
-            Some((index, CellRecord::Ok(report_from_words(&words))))
+            CellRecord::Ok(report_from_words(&words))
         }
-        0 => {
-            if body.len() < 9 {
-                return None;
-            }
-            let kind = kind_from_byte(body[0])?;
-            let attempts = u32::from_le_bytes(body[1..5].try_into().ok()?);
-            let len = u32::from_le_bytes(body[5..9].try_into().ok()?) as usize;
-            if body.len() != 9 + len {
-                return None;
-            }
-            let message = std::str::from_utf8(&body[9..]).ok()?.to_string();
-            Some((
-                index,
-                CellRecord::Failed {
-                    kind,
-                    attempts,
-                    message,
-                },
-            ))
-        }
-        2 => {
-            if !body.is_empty() || index != 0 {
-                return None;
-            }
-            Some((0, CellRecord::Drained))
-        }
-        _ => None,
-    }
+        0 => CellRecord::Failed {
+            kind: kind_from_byte(r.u8().ok()?)?,
+            attempts: r.u32().ok()?,
+            message: r.str().ok()?.to_string(),
+        },
+        2 if index == 0 => CellRecord::Drained,
+        _ => return None,
+    };
+    r.done().ok()?;
+    Some((index, record))
 }
 
 #[cfg(test)]
@@ -237,6 +215,56 @@ mod tests {
             CellRecord::Ok(r) => assert_eq!(report_words(&r), report_words(&report)),
             other => panic!("wrong record {other:?}"),
         }
+    }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let report = Report {
+            completed: 1,
+            access_latency_ms: 2.0,
+            latency_stddev_ms: 3.0,
+            local_hit_ratio_pct: 4.0,
+            global_hit_ratio_pct: 5.0,
+            server_request_ratio_pct: 6.0,
+            push_hit_ratio_pct: 7.0,
+            tcg_share_of_global_pct: 8.0,
+            total_power_uws: 9.0,
+            power_per_gch_uws: f64::INFINITY,
+            power_per_request_uws: -0.5,
+            signature_messages: 12,
+            signature_bytes: 13,
+            search_timeouts: 14,
+            filter_bypasses: 15,
+            validations: 16,
+        };
+        let mut want = vec![42, 0, 0, 0, 0, 0, 0, 0, 1];
+        for word in [
+            0x0000_0000_0000_0001u64,
+            0x4000_0000_0000_0000,
+            0x4008_0000_0000_0000,
+            0x4010_0000_0000_0000,
+            0x4014_0000_0000_0000,
+            0x4018_0000_0000_0000,
+            0x401C_0000_0000_0000,
+            0x4020_0000_0000_0000,
+            0x4022_0000_0000_0000,
+            0x7FF0_0000_0000_0000,
+            0xBFE0_0000_0000_0000,
+            12,
+            13,
+            14,
+            15,
+            16,
+        ] {
+            want.extend(word.to_le_bytes());
+        }
+        assert_eq!(encode_ok(42, &report), want);
+
+        assert_eq!(
+            encode_failed(7, FailureKind::Deadline, 2, "boom"),
+            [7, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 4, 0, 0, 0, b'b', b'o', b'o', b'm']
+        );
+        assert_eq!(encode_drained(), [0, 0, 0, 0, 0, 0, 0, 0, 2]);
     }
 
     #[test]

@@ -129,8 +129,11 @@ pub const CHAOS_ENV: &str = "GROCOCA_CHAOS_FAIL_CELLS";
 /// integration tests and CI. Never set it in real use.
 pub const CHAOS_JOURNAL_ENV: &str = "GROCOCA_CHAOS_JOURNAL";
 
-pub(crate) fn chaos_cells() -> Vec<usize> {
-    std::env::var(CHAOS_ENV)
+/// The cell indices listed, comma-separated, in the chaos hook variable
+/// `var` ([`CHAOS_ENV`] and the worker's hooks). Unparsable entries are
+/// skipped; an unset variable lists none.
+pub(crate) fn chaos_cells(var: &str) -> Vec<usize> {
+    std::env::var(var)
         .ok()
         .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .unwrap_or_default()
@@ -270,79 +273,20 @@ fn run_single(
     every: u64,
     resume_from: Option<&std::path::Path>,
 ) -> Result<grococa_core::Report, CliError> {
-    let fp = checkpoint::fingerprint(&cfg);
-    let mut journal: Option<Journal> = None;
-    let mut next_seq = 0u64;
-    let mut resumed: Option<grococa_core::ResumedSimulation> = None;
-
-    if let Some(rp) = resume_from {
-        if rp.exists() {
-            let recovered = Journal::open_or_create(rp, &fp)?;
-            if let Some(warning) = &recovered.warning {
-                warn_once("checkpoint-truncated", warning);
-            }
-            let rec = checkpoint::reassemble(&recovered.records);
-            next_seq = rec.next_seq;
-            match checkpoint::latest_usable(&cfg, rp, &rec.snapshots) {
-                Some((seq, r)) => {
-                    eprintln!(
-                        "note: resuming from checkpoint {seq} in {} \
-                         ({} events already simulated)",
-                        rp.display(),
-                        r.events_fired(),
-                    );
-                    resumed = Some(r);
-                }
-                None => warn_once(
-                    "checkpoint-none",
-                    &format!("no usable checkpoint in {}; starting fresh", rp.display()),
-                ),
-            }
-            // Same file for --resume-run and --checkpoint: keep appending
-            // to the journal we just recovered.
-            if ckpt == Some(rp) {
-                journal = Some(recovered.journal);
-            }
-        } else {
-            warn_once(
-                "checkpoint-missing",
-                &format!(
-                    "--resume-run {}: no such file; starting fresh",
-                    rp.display()
-                ),
-            );
-        }
-    }
-    if journal.is_none() {
-        if let Some(path) = ckpt {
-            journal = Some(Journal::create(path, &fp)?);
-            next_seq = 0;
-        }
-    }
-
-    // Chaos seam: scripted disk faults between the checkpoint journal
-    // and its file, exactly as for sweep result journals.
-    if let (Some(j), Ok(spec)) = (journal.as_mut(), std::env::var(CHAOS_JOURNAL_ENV)) {
-        let script = FaultScript::parse(&spec).map_err(|e| {
-            CliError::Args(args::ArgError(format!("{CHAOS_JOURNAL_ENV}={spec:?}: {e}")))
-        })?;
-        j.wrap_backend(|inner| Box::new(FaultyBackend::new(inner, script)));
-    }
-
-    let mut writer = checkpoint::Writer::new(journal, next_seq);
-    let every = if writer.active() { every } else { 0 };
-    let mut sink = |bytes: &[u8]| {
-        writer.append(bytes);
+    let files = checkpoint::Files {
+        resume: resume_from,
+        write: ckpt,
+        every,
     };
     // `GROCOCA_TIMING=1` prints a throughput line to stderr (stdout
     // stays byte-identical, so timing never perturbs CSV comparisons).
     // This is how BENCH_checkpoint.json measures checkpoint overhead.
     let timing_from = std::env::var_os("GROCOCA_TIMING").map(|_| Instant::now());
-    let result = match resumed {
-        Some(r) => r.try_run_inspect_checkpointed(every, &mut sink),
-        None => Simulation::new(cfg).try_run_inspect_checkpointed(every, &mut sink),
-    };
-    let (mut out, _sim) = result.map_err(|e| CliError::Sim(e.to_string()))?;
+    let mut out = checkpoint::run(cfg, files, &mut |_| {}).map_err(|e| match e {
+        checkpoint::RunError::Resume(e) | checkpoint::RunError::Create(e) => CliError::Journal(e),
+        checkpoint::RunError::Chaos(e) => CliError::Args(ArgError(e)),
+        checkpoint::RunError::Sim(e) => CliError::Sim(e.to_string()),
+    })?;
     if let Some(started) = timing_from {
         let elapsed = started.elapsed().as_secs_f64();
         out.record_wall_time(elapsed);
@@ -573,7 +517,7 @@ fn run_sweep(
     }
 
     let journal = SweepJournal::new(journal, settings.keep_going);
-    let chaos = chaos_cells();
+    let chaos = chaos_cells(CHAOS_ENV);
     let mut opts = SuperviseOptions::with_jobs(grococa_par::jobs_from_env());
     opts.deadline = settings.isolation.deadline;
     let fingerprint_hash = settings.fingerprint.config_hash;

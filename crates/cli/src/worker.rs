@@ -22,11 +22,12 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use grococa_core::{Report, Simulation};
-use grococa_journal::Journal;
 use grococa_par::{payload_text, AttemptFailure, FailureKind};
 
 use crate::args::{parse_args, Command as CliCommand};
 use crate::cells::{self, CellRecord};
+use crate::chaos_cells;
+use crate::checkpoint::{self, RunError};
 use crate::drain::DRAIN;
 
 /// Env var carrying the cell index a re-exec'd worker must run. Its
@@ -81,13 +82,6 @@ pub fn worker_cell_from_env() -> Option<usize> {
     std::env::var(WORKER_CELL_ENV).ok()?.trim().parse().ok()
 }
 
-fn env_cell_list(var: &str) -> Vec<usize> {
-    std::env::var(var)
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .unwrap_or_default()
-}
-
 /// Worker-mode entry point: runs `cell` of the sweep described by
 /// `argv` and returns the process exit code (0 on success, 101 on a
 /// panicking cell, [`WORKER_PROTOCOL_EXIT`] on protocol violations).
@@ -124,13 +118,13 @@ fn run_worker_inner(cell: usize, argv: &[String]) -> Result<u8, String> {
     let Some((_, _, cfg)) = grid.get(cell) else {
         return Err(format!("cell {cell} out of range ({} cells)", grid.len()));
     };
-    if env_cell_list(CHAOS_HANG_ENV).contains(&cell) {
+    if chaos_cells(CHAOS_HANG_ENV).contains(&cell) {
         // A cell that never finishes: the deadline-kill target.
         loop {
             std::thread::sleep(Duration::from_millis(50));
         }
     }
-    if env_cell_list(CHAOS_BLOAT_ENV).contains(&cell) {
+    if chaos_cells(CHAOS_BLOAT_ENV).contains(&cell) {
         // A cell whose RSS grows without bound: the oom-kill target.
         // Paced so the parent's sampling loop catches it near the
         // ceiling rather than gigabytes past it.
@@ -140,7 +134,7 @@ fn run_worker_inner(cell: usize, argv: &[String]) -> Result<u8, String> {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
-    let chaos_fail = crate::chaos_cells();
+    let chaos_fail = chaos_cells(crate::CHAOS_ENV);
     let cfg = cfg.clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         assert!(
@@ -190,68 +184,45 @@ fn run_cell(cfg: grococa_core::SimConfig, cell: usize) -> Result<Report, String>
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(crate::args::DEFAULT_CHECKPOINT_EVERY);
-    let fp = crate::checkpoint::fingerprint(&cfg);
-
-    let mut resumed = None;
-    let mut journal = None;
-    let mut next_seq = 0u64;
-    if path.exists() {
-        match Journal::open_or_create(&path, &fp) {
-            Ok(recovered) => {
-                let rec = crate::checkpoint::reassemble(&recovered.records);
-                next_seq = rec.next_seq;
-                if let Some((seq, r)) =
-                    crate::checkpoint::latest_usable(&cfg, &path, &rec.snapshots)
-                {
-                    eprintln!(
-                        "note: cell {cell} resuming from checkpoint {seq} \
-                         ({} events already simulated)",
-                        r.events_fired()
-                    );
-                    resumed = Some(r);
-                }
-                journal = Some(recovered.journal);
-            }
-            Err(e) => {
-                // A leftover file from another sweep shape or binary:
-                // recycle it rather than refusing the cell.
-                eprintln!(
-                    "warning: cell {cell} checkpoint {} unusable ({e}); recreating",
-                    path.display()
-                );
-                std::fs::remove_file(&path).ok();
-            }
-        }
-    }
-    if journal.is_none() {
-        match Journal::create(&path, &fp) {
-            Ok(j) => journal = Some(j),
-            Err(e) => eprintln!(
-                "warning: cell {cell} cannot create checkpoint {} ({e}); \
-                 running without checkpointing",
-                path.display()
-            ),
-        }
-    }
-
-    let crash_after_first =
-        resumed.is_none() && env_cell_list(CHAOS_CKPT_CRASH_ENV).contains(&cell);
-    let mut writer = crate::checkpoint::Writer::new(journal, next_seq);
-    let every = if writer.active() { every } else { 0 };
-    let mut sink = |bytes: &[u8]| {
-        let landed = writer.append(bytes);
-        if landed && crash_after_first {
+    let files = checkpoint::Files {
+        resume: Some(&path),
+        write: Some(&path),
+        every,
+    };
+    let crash_after_first = chaos_cells(CHAOS_CKPT_CRASH_ENV).contains(&cell);
+    let mut on_checkpoint = |resumed: bool| {
+        if crash_after_first && !resumed {
             // Simulates a mid-run kill with one checkpoint durable; the
             // supervised retry must resume, not restart.
             eprintln!("chaos hook: cell {cell} exiting after first durable checkpoint");
             std::process::exit(CHAOS_CKPT_CRASH_EXIT); // tidy:allow(exit-discipline): the chaos hook must die abruptly mid-run, like the kill it stands in for
         }
     };
-    let result = match resumed {
-        Some(r) => r.try_run_inspect_checkpointed(every, &mut sink),
-        None => Simulation::new(cfg).try_run_inspect_checkpointed(every, &mut sink),
+    let result = match checkpoint::run(cfg.clone(), files, &mut on_checkpoint) {
+        Err(RunError::Resume(e)) => {
+            // A leftover file from another sweep shape or binary:
+            // recycle it rather than refusing the cell.
+            eprintln!(
+                "warning: cell {cell} checkpoint {} unusable ({e}); recreating",
+                path.display()
+            );
+            std::fs::remove_file(&path).ok();
+            checkpoint::run(cfg.clone(), files, &mut on_checkpoint)
+        }
+        other => other,
     };
-    result.map(|(out, _)| out.report).map_err(|e| e.to_string())
+    let result = match result {
+        Err(e @ (RunError::Create(_) | RunError::Chaos(_))) => {
+            eprintln!(
+                "warning: cell {cell} cannot checkpoint to {} ({e}); \
+                 running without checkpointing",
+                path.display()
+            );
+            checkpoint::run(cfg, checkpoint::Files::default(), &mut on_checkpoint)
+        }
+        other => other,
+    };
+    result.map(|out| out.report).map_err(|e| e.to_string())
 }
 
 /// Enforced limits for one isolated cell.

@@ -8,6 +8,7 @@ use grococa_cache::ReplacementPolicy;
 use grococa_mobility::MotionModel;
 use grococa_net::MessageSizes;
 use grococa_power::PowerModel;
+use grococa_sim::codec::checksum;
 use grococa_sim::SimTime;
 
 use crate::fault::{ConfigError, FaultPlan, RetryPolicy};
@@ -475,14 +476,13 @@ impl SimConfig {
     /// A canonical 64-bit fingerprint covering **every** configuration
     /// field.
     ///
-    /// Folds the derived `Debug` rendering — which lists each field by
-    /// name in declaration order, floats included — through FNV-1a and a
-    /// SplitMix64 finaliser. Two configs fingerprint equal exactly when
-    /// all their fields are equal, and adding a field to the struct
-    /// changes every fingerprint, which is the right failure mode for its
-    /// one consumer: the sweep journal header, where a stale fingerprint
-    /// must refuse resume rather than mix results from different
-    /// configurations.
+    /// The [`checksum`] of the derived `Debug` rendering, which lists
+    /// each field by name in declaration order, floats included. Two
+    /// configs fingerprint equal exactly when all their fields are equal,
+    /// and adding a field to the struct changes every fingerprint, which
+    /// is the right failure mode for its consumers — journal headers and
+    /// snapshots, where a stale fingerprint must refuse resume rather
+    /// than mix results from different configurations.
     ///
     /// # Examples
     ///
@@ -496,16 +496,7 @@ impl SimConfig {
     /// assert_ne!(a.canonical_fingerprint(), b.canonical_fingerprint());
     /// ```
     pub fn canonical_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in format!("{self:?}").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // SplitMix64 finaliser spreads the low-entropy FNV state.
-        let mut z = h;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        checksum(format!("{self:?}").as_bytes())
     }
 
     /// [`SimConfig::validate`], but panicking with the violation message

@@ -530,7 +530,7 @@ impl Simulation {
     }
 
     /// Like [`Simulation::try_run_inspect`], but additionally encodes a
-    /// full [snapshot](crate::snapshot) of the run every `every` fired
+    /// full snapshot of the run every `every` fired
     /// events and hands the bytes to `sink`. The caller owns durability
     /// (typically a journal append); a failing sink must not abort the
     /// run, so the sink is infallible and swallows its own errors.

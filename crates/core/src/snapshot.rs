@@ -29,18 +29,18 @@
 //! [magic u32][version u32][checksum u64][fingerprint u64][body ...]
 //! ```
 //!
-//! all little-endian. The checksum (FNV-1a folded through a SplitMix64
-//! finalizer) covers the fingerprint and body, so corruption anywhere
+//! written with [`grococa_sim::codec`], all little-endian. The
+//! [`checksum`] covers the fingerprint and body, so corruption anywhere
 //! past the version field is detected before any state is touched;
 //! decoding never panics on hostile bytes.
 
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use grococa_cache::Entry;
 use grococa_mobility::{FieldMemo, Vec2};
 use grococa_power::PowerMeter;
 use grococa_signature::BloomFilter;
+use grococa_sim::codec::{checksum, DecodeError, Reader, Writer};
 use grococa_sim::{EventId, Scheduler, SchedulerState, SimRng, SimTime, Welford};
 use grococa_workload::ItemId;
 
@@ -50,10 +50,10 @@ use crate::sim::{Ev, ResumedSimulation, Simulation};
 use crate::tcg::MembershipChange;
 
 /// `b"GCKP"` as a little-endian word.
-const MAGIC: u32 = u32::from_le_bytes(*b"GCKP");
+const MAGIC: u32 = 0x504B_4347;
 /// Bumped on any wire-format change; old snapshots are refused, never
-/// misread.
-const VERSION: u32 = 1;
+/// misread. Version 2 moved the checksum to [`checksum`].
+const VERSION: u32 = 2;
 /// Bytes before the body: magic, version, checksum, fingerprint.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
@@ -100,172 +100,9 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a over `bytes`, finished with a SplitMix64 mix — the same
-/// construction as [`SimConfig::canonical_fingerprint`], applied to raw
-/// bytes.
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-// ----------------------------------------------------------------------
-// Byte writer / reader
-// ----------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    /// Exact bit pattern — NaN payloads (the WADM "no observation"
-    /// sentinel) round-trip unchanged.
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn time(&mut self, t: SimTime) {
-        self.u64(t.as_micros());
-    }
-    fn opt_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u8(0),
-            Some(t) => {
-                self.u8(1);
-                self.time(t);
-            }
-        }
-    }
-    fn opt_event_id(&mut self, id: Option<EventId>) {
-        match id {
-            None => self.u8(0),
-            Some(id) => {
-                self.u8(1);
-                self.u64(id.as_raw());
-            }
-        }
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(SnapshotError::Malformed("truncated body"))?;
-        let s = self
-            .buf
-            .get(self.pos..end)
-            .ok_or(SnapshotError::Malformed("truncated body"))?;
-        self.pos = end;
-        Ok(s)
-    }
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed("trailing bytes"))
-        }
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or(SnapshotError::Malformed("truncated body"))
-    }
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b: [u8; 2] = self
-            .take(2)?
-            .try_into()
-            .map_err(|_| SnapshotError::Malformed("truncated body"))?;
-        Ok(u16::from_le_bytes(b))
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| SnapshotError::Malformed("truncated body"))?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| SnapshotError::Malformed("truncated body"))?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.u64()?).map_err(|_| SnapshotError::Malformed("oversized count"))
-    }
-    /// A length prefix, validated against the bytes actually remaining
-    /// (`elem_floor` = the minimum encoded size of one element) so a
-    /// corrupt count can never trigger a giant allocation.
-    fn len(&mut self, elem_floor: usize) -> Result<usize, SnapshotError> {
-        let n = self.usize()?;
-        let need = n
-            .checked_mul(elem_floor.max(1))
-            .ok_or(SnapshotError::Malformed("oversized count"))?;
-        if need > self.buf.len() - self.pos {
-            return Err(SnapshotError::Malformed("count exceeds body"));
-        }
-        Ok(n)
-    }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Malformed("bad bool")),
-        }
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_micros(self.u64()?))
-    }
-    fn opt_time(&mut self) -> Result<Option<SimTime>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.time()?)),
-            _ => Err(SnapshotError::Malformed("bad option tag")),
-        }
-    }
-    fn opt_event_id(&mut self) -> Result<Option<EventId>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(EventId::from_raw(self.u64()?))),
-            _ => Err(SnapshotError::Malformed("bad option tag")),
-        }
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        SnapshotError::Malformed(e.as_str())
     }
 }
 
@@ -273,36 +110,16 @@ impl<'a> Reader<'a> {
 // Composite codecs
 // ----------------------------------------------------------------------
 
-fn put_usize_vec(w: &mut Writer, v: impl ExactSizeIterator<Item = usize>) {
-    w.usize(v.len());
-    for x in v {
-        w.usize(x);
-    }
+fn put_vec2(w: &mut Writer, p: &Vec2) {
+    w.f64(p.x);
+    w.f64(p.y);
 }
 
-fn get_usize_set(r: &mut Reader<'_>) -> Result<BTreeSet<usize>, SnapshotError> {
-    let n = r.len(8)?;
-    let mut s = BTreeSet::new();
-    for _ in 0..n {
-        s.insert(r.usize()?);
-    }
-    Ok(s)
-}
-
-fn put_u32_set(w: &mut Writer, s: &BTreeSet<u32>) {
-    w.usize(s.len());
-    for &x in s {
-        w.u32(x);
-    }
-}
-
-fn get_u32_set(r: &mut Reader<'_>) -> Result<BTreeSet<u32>, SnapshotError> {
-    let n = r.len(4)?;
-    let mut s = BTreeSet::new();
-    for _ in 0..n {
-        s.insert(r.u32()?);
-    }
-    Ok(s)
+fn get_vec2(r: &mut Reader<'_>) -> Result<Vec2, DecodeError> {
+    Ok(Vec2 {
+        x: r.f64()?,
+        y: r.f64()?,
+    })
 }
 
 fn put_welford(w: &mut Writer, s: &Welford) {
@@ -311,7 +128,7 @@ fn put_welford(w: &mut Writer, s: &Welford) {
     w.f64(s.m2());
 }
 
-fn get_welford(r: &mut Reader<'_>) -> Result<Welford, SnapshotError> {
+fn get_welford(r: &mut Reader<'_>) -> Result<Welford, DecodeError> {
     Ok(Welford::from_parts(r.u64()?, r.f64()?, r.f64()?))
 }
 
@@ -322,7 +139,7 @@ fn put_facility(w: &mut Writer, s: (SimTime, u64, u64, u64)) {
     w.u64(s.3);
 }
 
-fn get_facility(r: &mut Reader<'_>) -> Result<(SimTime, u64, u64, u64), SnapshotError> {
+fn get_facility(r: &mut Reader<'_>) -> Result<(SimTime, u64, u64, u64), DecodeError> {
     Ok((r.time()?, r.u64()?, r.u64()?, r.u64()?))
 }
 
@@ -348,19 +165,11 @@ fn get_membership(r: &mut Reader<'_>) -> Result<MembershipChange, SnapshotError>
 }
 
 fn put_membership_list(w: &mut Writer, cs: &[MembershipChange]) {
-    w.usize(cs.len());
-    for &c in cs {
-        put_membership(w, c);
-    }
+    w.seq(cs.iter().copied(), put_membership);
 }
 
 fn get_membership_list(r: &mut Reader<'_>) -> Result<Vec<MembershipChange>, SnapshotError> {
-    let n = r.len(9)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(get_membership(r)?);
-    }
-    Ok(v)
+    r.seq(9, get_membership)
 }
 
 fn put_bloom(w: &mut Writer, b: &BloomFilter) {
@@ -385,7 +194,7 @@ fn put_bloom(w: &mut Writer, b: &BloomFilter) {
 fn get_bloom(r: &mut Reader<'_>) -> Result<BloomFilter, SnapshotError> {
     let sigma = r.u32()?;
     let k = r.u32()?;
-    let packed = r.take((sigma as usize).div_ceil(8))?;
+    let packed = r.bytes((sigma as usize).div_ceil(8))?;
     let bits: Vec<bool> = (0..sigma as usize)
         .map(|i| packed[i / 8] >> (i % 8) & 1 == 1)
         .collect();
@@ -416,6 +225,14 @@ fn get_phase(r: &mut Reader<'_>) -> Result<Phase, SnapshotError> {
     })
 }
 
+fn put_event_id(w: &mut Writer, id: EventId) {
+    w.u64(id.as_raw());
+}
+
+fn get_event_id(r: &mut Reader<'_>) -> Result<EventId, DecodeError> {
+    r.u64().map(EventId::from_raw)
+}
+
 fn put_pending(w: &mut Writer, p: &Pending) {
     w.u64(p.gen);
     w.u64(p.item.as_u64());
@@ -423,17 +240,11 @@ fn put_pending(w: &mut Writer, p: &Pending) {
     w.bool(p.recorded);
     put_phase(w, p.phase);
     w.time(p.broadcast_at);
-    w.opt_event_id(p.timeout);
-    match p.target {
-        None => w.u8(0),
-        Some(t) => {
-            w.u8(1);
-            w.usize(t);
-        }
-    }
+    w.opt(p.timeout, put_event_id);
+    w.opt(p.target, Writer::usize);
     w.time(p.validating_t_r);
     w.u32(p.attempt);
-    w.opt_event_id(p.watchdog);
+    w.opt(p.watchdog, put_event_id);
 }
 
 fn get_pending(r: &mut Reader<'_>) -> Result<Pending, SnapshotError> {
@@ -444,16 +255,20 @@ fn get_pending(r: &mut Reader<'_>) -> Result<Pending, SnapshotError> {
         recorded: r.bool()?,
         phase: get_phase(r)?,
         broadcast_at: r.time()?,
-        timeout: r.opt_event_id()?,
-        target: match r.u8()? {
-            0 => None,
-            1 => Some(r.usize()?),
-            _ => return Err(SnapshotError::Malformed("bad option tag")),
-        },
+        timeout: r.opt(get_event_id)?,
+        target: r.opt(Reader::usize)?,
         validating_t_r: r.time()?,
         attempt: r.u32()?,
-        watchdog: r.opt_event_id()?,
+        watchdog: r.opt(get_event_id)?,
     })
+}
+
+fn put_item(w: &mut Writer, item: &ItemId) {
+    w.u64(item.as_u64());
+}
+
+fn get_item(r: &mut Reader<'_>) -> Result<ItemId, DecodeError> {
+    r.u64().map(ItemId::new)
 }
 
 fn put_rng(w: &mut Writer, rng: &SimRng) {
@@ -462,7 +277,7 @@ fn put_rng(w: &mut Writer, rng: &SimRng) {
     }
 }
 
-fn get_rng(r: &mut Reader<'_>) -> Result<SimRng, SnapshotError> {
+fn get_rng(r: &mut Reader<'_>) -> Result<SimRng, DecodeError> {
     Ok(SimRng::from_state([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))
 }
 
@@ -488,21 +303,10 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
             w.u64(*gen);
             w.usize(*peer);
             w.u64(item.as_u64());
-            match updates {
-                None => w.u8(0),
-                Some(lists) => {
-                    w.u8(1);
-                    let (ins, ev) = lists.as_ref();
-                    w.usize(ins.len());
-                    for &x in ins {
-                        w.u32(x);
-                    }
-                    w.usize(ev.len());
-                    for &x in ev {
-                        w.u32(x);
-                    }
-                }
-            }
+            w.opt(updates.as_deref(), |w, (ins, ev)| {
+                w.seq(ins.iter().copied(), Writer::u32);
+                w.seq(ev.iter().copied(), Writer::u32);
+            });
         }
         Ev::Reply {
             requester,
@@ -588,13 +392,9 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
             w.u8(12);
             w.usize(*from);
             w.usize(*to);
-            match members {
-                None => w.u8(0),
-                Some(m) => {
-                    w.u8(1);
-                    put_usize_vec(w, m.iter().copied());
-                }
-            }
+            w.opt(members.as_deref(), |w, m| {
+                w.seq(m.iter().copied(), Writer::usize)
+            });
         }
         Ev::SigReply { from, to, sig } => {
             w.u8(13);
@@ -613,7 +413,7 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
         Ev::ReconnectSyncDone { mh, members } => {
             w.u8(16);
             w.usize(*mh);
-            put_usize_vec(w, members.iter().copied());
+            w.seq(members.iter().copied(), Writer::usize);
         }
         Ev::ExplicitUpdate { mh } => {
             w.u8(17);
@@ -622,10 +422,7 @@ fn put_ev(w: &mut Writer, ev: &Ev) {
         Ev::ExplicitUpdateAtMss { mh, sample } => {
             w.u8(18);
             w.usize(*mh);
-            w.usize(sample.len());
-            for item in sample.iter() {
-                w.u64(item.as_u64());
-            }
+            w.seq(sample.iter(), put_item);
         }
         Ev::MembershipNews { mh, changes } => {
             w.u8(19);
@@ -659,23 +456,9 @@ fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
             gen: r.u64()?,
             peer: r.usize()?,
             item: ItemId::new(r.u64()?),
-            updates: match r.u8()? {
-                0 => None,
-                1 => {
-                    let ni = r.len(4)?;
-                    let mut ins = Vec::with_capacity(ni);
-                    for _ in 0..ni {
-                        ins.push(r.u32()?);
-                    }
-                    let ne = r.len(4)?;
-                    let mut ev = Vec::with_capacity(ne);
-                    for _ in 0..ne {
-                        ev.push(r.u32()?);
-                    }
-                    Some(Rc::new((ins, ev)))
-                }
-                _ => return Err(SnapshotError::Malformed("bad option tag")),
-            },
+            updates: r.opt(|r| -> Result<_, DecodeError> {
+                Ok(Rc::new((r.seq(4, Reader::u32)?, r.seq(4, Reader::u32)?)))
+            })?,
         },
         2 => Ev::Reply {
             requester: r.usize()?,
@@ -729,18 +512,7 @@ fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
         12 => Ev::SigRequest {
             from: r.usize()?,
             to: r.usize()?,
-            members: match r.u8()? {
-                0 => None,
-                1 => {
-                    let n = r.len(8)?;
-                    let mut m = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        m.push(r.usize()?);
-                    }
-                    Some(Rc::new(m))
-                }
-                _ => return Err(SnapshotError::Malformed("bad option tag")),
-            },
+            members: r.opt(|r| r.seq(8, Reader::usize).map(Rc::new))?,
         },
         13 => Ev::SigReply {
             from: r.usize()?,
@@ -751,26 +523,12 @@ fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
         15 => Ev::ReconnectSync { mh: r.usize()? },
         16 => Ev::ReconnectSyncDone {
             mh: r.usize()?,
-            members: {
-                let n = r.len(8)?;
-                let mut m = Vec::with_capacity(n);
-                for _ in 0..n {
-                    m.push(r.usize()?);
-                }
-                Rc::new(m)
-            },
+            members: Rc::new(r.seq(8, Reader::usize)?),
         },
         17 => Ev::ExplicitUpdate { mh: r.usize()? },
         18 => Ev::ExplicitUpdateAtMss {
             mh: r.usize()?,
-            sample: {
-                let n = r.len(8)?;
-                let mut s = Vec::with_capacity(n);
-                for _ in 0..n {
-                    s.push(ItemId::new(r.u64()?));
-                }
-                Rc::new(s)
-            },
+            sample: Rc::new(r.seq(8, get_item)?),
         },
         19 => Ev::MembershipNews {
             mh: r.usize()?,
@@ -801,12 +559,10 @@ fn get_ev(r: &mut Reader<'_>) -> Result<Ev, SnapshotError> {
 /// Encodes the complete mutable state of a mid-run simulation. The
 /// scheduler is passed alongside because the run loop owns it.
 pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
-    let mut w = Writer {
-        buf: Vec::with_capacity(64 * 1024),
-    };
+    let mut w = Writer::with_capacity(64 * 1024);
     w.u32(MAGIC);
     w.u32(VERSION);
-    w.u64(0); // checksum backpatched below
+    w.u64(0); // checksum patched below
     w.u64(sim.cfg.canonical_fingerprint());
 
     // --- scheduler -----------------------------------------------------
@@ -815,119 +571,67 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
     w.u64(state.next_seq);
     w.u64(state.fired);
     w.usize(state.peak_depth);
-    w.usize(state.entries.len());
-    for (at, seq, ev) in &state.entries {
+    w.seq(&state.entries, |w, (at, seq, ev)| {
         w.time(*at);
         w.u64(*seq);
-        put_ev(&mut w, ev);
-    }
-    w.usize(state.cancelled.len());
-    for &seq in &state.cancelled {
-        w.u64(seq);
-    }
+        put_ev(w, ev);
+    });
+    w.seq(state.cancelled.iter().copied(), Writer::u64);
 
     // --- mobility memo -------------------------------------------------
     let memo = sim.field.export_memo();
-    w.opt_time(memo.cache_t);
-    w.usize(memo.cache.len());
-    for p in &memo.cache {
-        w.f64(p.x);
-        w.f64(p.y);
-    }
+    w.opt(memo.cache_t, Writer::time);
+    w.seq(&memo.cache, put_vec2);
     w.u64(memo.cache_hits);
     w.u64(memo.cache_misses);
     for key in [memo.grid_key, memo.probe_key] {
-        match key {
-            None => w.u8(0),
-            Some((t, bits)) => {
-                w.u8(1);
-                w.time(t);
-                w.u64(bits);
-            }
-        }
+        w.opt(key, |w, (t, bits)| {
+            w.time(t);
+            w.u64(bits);
+        });
     }
     w.u8(memo.probe_scans);
 
     // --- channels ------------------------------------------------------
-    let radios = sim.p2p.export_state();
-    w.usize(radios.len());
-    for s in radios {
-        put_facility(&mut w, s);
-    }
+    w.seq(sim.p2p.export_state(), put_facility);
     let (up, down) = sim.server.export_state();
     put_facility(&mut w, up);
     put_facility(&mut w, down);
 
     // --- server database ----------------------------------------------
     let (items, updates_applied) = sim.db.export_state();
-    w.usize(items.len());
-    for (last_updated, interval, stale) in items {
+    w.seq(items, |w, (last_updated, interval, stale)| {
         w.time(last_updated);
-        match interval {
-            None => w.u8(0),
-            Some(v) => {
-                w.u8(1);
-                w.f64(v);
-            }
-        }
+        w.opt(interval, Writer::f64);
         w.bool(stale);
-    }
+    });
     w.u64(updates_applied);
 
     // --- TCG directory -------------------------------------------------
-    match &sim.dir {
-        None => w.u8(0),
-        Some(dir) => {
-            w.u8(1);
-            // Access rows are sparse-encoded (most of the NData-wide
-            // frequency vector is zero): without this a large-population
-            // GroCoca snapshot would be dominated by zeros.
-            w.usize(dir.access.len());
-            for row in &dir.access {
-                let nonzero = row.iter().filter(|&&a| a != 0).count();
-                w.usize(nonzero);
-                for (i, &a) in row.iter().enumerate() {
-                    if a != 0 {
-                        w.u32(i as u32);
-                        w.u32(a);
-                    }
+    w.opt(sim.dir.as_ref(), |w, dir| {
+        // Access rows are sparse-encoded (most of the NData-wide
+        // frequency vector is zero): without this a large-population
+        // GroCoca snapshot would be dominated by zeros.
+        w.seq(&dir.access, |w, row| {
+            w.usize(row.iter().filter(|&&a| a != 0).count());
+            for (i, &a) in row.iter().enumerate() {
+                if a != 0 {
+                    w.u32(i as u32);
+                    w.u32(a);
                 }
             }
-            for matrix in [&dir.dot, &dir.wadm] {
-                w.usize(matrix.len());
-                for &v in matrix.iter() {
-                    w.f64(v);
-                }
-            }
-            w.usize(dir.norm_sq.len());
-            for &v in &dir.norm_sq {
-                w.f64(v);
-            }
-            w.usize(dir.last_pos.len());
-            for pos in &dir.last_pos {
-                match pos {
-                    None => w.u8(0),
-                    Some(p) => {
-                        w.u8(1);
-                        w.f64(p.x);
-                        w.f64(p.y);
-                    }
-                }
-            }
-            w.usize(dir.members.len());
-            for m in &dir.members {
-                put_usize_vec(&mut w, m.iter().copied());
-            }
-            w.usize(dir.pending.len());
-            for p in &dir.pending {
-                put_membership_list(&mut w, p);
-            }
+        });
+        for matrix in [&dir.dot, &dir.wadm] {
+            w.seq(matrix.iter().copied(), Writer::f64);
         }
-    }
+        w.seq(dir.norm_sq.iter().copied(), Writer::f64);
+        w.seq(&dir.last_pos, |w, pos| w.opt(pos.as_ref(), put_vec2));
+        w.seq(&dir.members, |w, m| w.seq(m.iter().copied(), Writer::usize));
+        w.seq(&dir.pending, |w, p| put_membership_list(w, p));
+    });
 
     // --- hosts ---------------------------------------------------------
-    w.usize(sim.hosts.len());
-    for h in &sim.hosts {
+    w.seq(&sim.hosts, |w, h| {
         w.bool(h.connected);
         w.usize(h.cache.len());
         for (key, e) in h.cache.iter() {
@@ -939,75 +643,36 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
             w.time(e.expires_at);
             w.u32(e.singlet_ttl);
         }
-        let counters = h.counting.counters();
-        w.usize(counters.len());
-        for &c in counters {
-            w.u16(c);
-        }
-        let counters = h.peer_vector.counters();
-        w.usize(counters.len());
-        for &c in counters {
-            w.u32(c);
-        }
-        put_usize_vec(&mut w, h.tcg.iter().copied());
-        put_usize_vec(&mut w, h.outstand_sig.iter().copied());
-        put_u32_set(&mut w, &h.pending_insert);
-        put_u32_set(&mut w, &h.pending_evict);
+        w.seq(h.counting.counters().iter().copied(), Writer::u16);
+        w.seq(h.peer_vector.counters().iter().copied(), Writer::u32);
+        w.seq(h.tcg.iter().copied(), Writer::usize);
+        w.seq(h.outstand_sig.iter().copied(), Writer::usize);
+        w.seq(h.pending_insert.iter().copied(), Writer::u32);
+        w.seq(h.pending_evict.iter().copied(), Writer::u32);
         w.u32(h.departed_since_recollect);
-        w.usize(h.peer_retrieved_log.len());
-        for item in &h.peer_retrieved_log {
-            w.u64(item.as_u64());
-        }
-        put_welford(&mut w, &h.search_stats);
+        w.seq(&h.peer_retrieved_log, put_item);
+        put_welford(w, &h.search_stats);
         w.u64(h.gen);
-        match &h.pending {
-            None => w.u8(0),
-            Some(p) => {
-                w.u8(1);
-                put_pending(&mut w, p);
-            }
-        }
+        w.opt(h.pending.as_ref(), put_pending);
         w.time(h.last_server_contact);
         w.bool(h.cache_filled);
         w.u32(h.consecutive_search_failures);
         w.u32(h.solo_requests_left);
-    }
+    });
 
     // --- push schedule, popularity, NDP, activity ----------------------
-    w.usize(sim.push.items().len());
-    for &item in sim.push.items() {
-        w.u64(item);
-    }
+    w.seq(sim.push.items().iter().copied(), Writer::u64);
     w.time(sim.push.slot_time());
-    w.usize(sim.popularity.len());
-    for &p in &sim.popularity {
-        w.u64(p);
-    }
-    match &sim.ndp {
-        None => w.u8(0),
-        Some(ndp) => {
-            w.u8(1);
-            let (linked, missed) = ndp.export_state();
-            w.usize(linked.len());
-            for &b in linked {
-                w.bool(b);
-            }
-            w.usize(missed.len());
-            for &m in missed {
-                w.u32(m);
-            }
-        }
-    }
-    w.usize(sim.active.len());
-    for &b in &sim.active {
-        w.bool(b);
-    }
+    w.seq(sim.popularity.iter().copied(), Writer::u64);
+    w.opt(sim.ndp.as_ref(), |w, ndp| {
+        let (linked, missed) = ndp.export_state();
+        w.seq(linked.iter().copied(), Writer::bool);
+        w.seq(missed.iter().copied(), Writer::u32);
+    });
+    w.seq(sim.active.iter().copied(), Writer::bool);
 
     // --- RNG substreams ------------------------------------------------
-    w.usize(sim.host_rngs.len());
-    for rng in &sim.host_rngs {
-        put_rng(&mut w, rng);
-    }
+    w.seq(&sim.host_rngs, put_rng);
     put_rng(&mut w, &sim.rng_updates);
     put_rng(&mut w, &sim.fault_rng);
 
@@ -1067,15 +732,25 @@ pub(crate) fn encode(sim: &Simulation, sched: &Scheduler<Ev>) -> Vec<u8> {
     w.usize(sim.full_caches);
     w.u64(sim.completed_recorded);
 
-    // Backpatch the checksum over fingerprint + body.
-    let sum = hash_bytes(&w.buf[16..]);
-    w.buf[8..16].copy_from_slice(&sum.to_le_bytes());
-    w.buf
+    // The checksum covers fingerprint + body.
+    let sum = checksum(&w.as_slice()[16..]);
+    w.patch_u64(8, sum);
+    w.into_vec()
 }
 
 // ----------------------------------------------------------------------
 // Decode
 // ----------------------------------------------------------------------
+
+/// Fails with `Malformed(what)` unless a decoded length matches the one
+/// the configuration implies.
+fn expect_len(got: usize, want: usize, what: &'static str) -> Result<(), SnapshotError> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed(what))
+    }
+}
 
 /// Rebuilds a mid-run simulation from snapshot bytes taken under `cfg`.
 ///
@@ -1088,7 +763,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::TooShort);
     }
-    let mut r = Reader { buf: bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let magic = r.u32()?;
     if magic != MAGIC {
         return Err(SnapshotError::BadMagic(magic));
@@ -1097,8 +772,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     if version != VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
-    let checksum = r.u64()?;
-    if checksum != hash_bytes(&bytes[16..]) {
+    if r.u64()? != checksum(&bytes[16..]) {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let found = r.u64()?;
@@ -1115,18 +789,10 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     let next_seq = r.u64()?;
     let fired = r.u64()?;
     let peak_depth = r.usize()?;
-    let n_entries = r.len(17)?;
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let at = r.time()?;
-        let seq = r.u64()?;
-        entries.push((at, seq, get_ev(&mut r)?));
-    }
-    let n_cancelled = r.len(8)?;
-    let mut cancelled = Vec::with_capacity(n_cancelled);
-    for _ in 0..n_cancelled {
-        cancelled.push(r.u64()?);
-    }
+    let entries = r.seq(17, |r| -> Result<_, SnapshotError> {
+        Ok((r.time()?, r.u64()?, get_ev(r)?))
+    })?;
+    let cancelled = r.seq(8, Reader::u64)?;
     let sched = Scheduler::from_state(SchedulerState {
         now,
         next_seq,
@@ -1137,28 +803,14 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     });
 
     // --- mobility: warp forward, then overlay the memo exactly ---------
-    let cache_t = r.opt_time()?;
-    let n_cache = r.len(16)?;
-    if n_cache != n {
-        return Err(SnapshotError::Malformed("position cache length"));
-    }
-    let mut cache = Vec::with_capacity(n_cache);
-    for _ in 0..n_cache {
-        cache.push(Vec2 {
-            x: r.f64()?,
-            y: r.f64()?,
-        });
-    }
+    let cache_t = r.opt(Reader::time)?;
+    let cache = r.seq(16, get_vec2)?;
+    expect_len(cache.len(), n, "position cache length")?;
     let cache_hits = r.u64()?;
     let cache_misses = r.u64()?;
-    let mut keys = [None, None];
-    for key in &mut keys {
-        *key = match r.u8()? {
-            0 => None,
-            1 => Some((r.time()?, r.u64()?)),
-            _ => return Err(SnapshotError::Malformed("bad option tag")),
-        };
-    }
+    let key = |r: &mut Reader<'_>| -> Result<_, DecodeError> { Ok((r.time()?, r.u64()?)) };
+    let grid_key = r.opt(key)?;
+    let probe_key = r.opt(key)?;
     let probe_scans = r.u8()?;
     sim.field.warp_to(now);
     sim.field.restore_memo(FieldMemo {
@@ -1166,42 +818,27 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         cache,
         cache_hits,
         cache_misses,
-        grid_key: keys[0],
-        probe_key: keys[1],
+        grid_key,
+        probe_key,
         probe_scans,
     });
 
     // --- channels ------------------------------------------------------
-    let n_radios = r.len(32)?;
-    if n_radios != n {
-        return Err(SnapshotError::Malformed("radio count"));
-    }
-    let mut radios = Vec::with_capacity(n_radios);
-    for _ in 0..n_radios {
-        radios.push(get_facility(&mut r)?);
-    }
+    let radios = r.seq(32, get_facility)?;
+    expect_len(radios.len(), n, "radio count")?;
     sim.p2p.restore_state(&radios);
     let up = get_facility(&mut r)?;
     let down = get_facility(&mut r)?;
     sim.server.restore_state((up, down));
 
     // --- server database ----------------------------------------------
-    let n_items = r.len(10)?;
-    if n_items as u64 != sim.cfg.n_data {
+    let items = r.seq(10, |r| -> Result<_, DecodeError> {
+        Ok((r.time()?, r.opt(Reader::f64)?, r.bool()?))
+    })?;
+    if items.len() as u64 != sim.cfg.n_data {
         return Err(SnapshotError::Malformed("database size"));
     }
-    let mut items = Vec::with_capacity(n_items);
-    for _ in 0..n_items {
-        let last_updated = r.time()?;
-        let interval = match r.u8()? {
-            0 => None,
-            1 => Some(r.f64()?),
-            _ => return Err(SnapshotError::Malformed("bad option tag")),
-        };
-        items.push((last_updated, interval, r.bool()?));
-    }
-    let updates_applied = r.u64()?;
-    sim.db.restore_state(&items, updates_applied);
+    sim.db.restore_state(&items, r.u64()?);
 
     // --- TCG directory -------------------------------------------------
     let has_dir = r.bool()?;
@@ -1209,10 +846,7 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
         return Err(SnapshotError::Malformed("directory presence"));
     }
     if let Some(dir) = sim.dir.as_mut() {
-        let rows = r.len(8)?;
-        if rows != n {
-            return Err(SnapshotError::Malformed("access matrix rows"));
-        }
+        expect_len(r.len(8)?, n, "access matrix rows")?;
         for row in dir.access.iter_mut() {
             let nonzero = r.len(8)?;
             if nonzero > row.len() {
@@ -1229,56 +863,23 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
             }
         }
         for matrix in [&mut dir.dot, &mut dir.wadm] {
-            let len = r.len(8)?;
-            if len != n * n {
-                return Err(SnapshotError::Malformed("pair matrix length"));
-            }
-            for v in matrix.iter_mut() {
-                *v = r.f64()?;
-            }
+            *matrix = r.seq(8, Reader::f64)?;
+            expect_len(matrix.len(), n * n, "pair matrix length")?;
         }
-        let len = r.len(8)?;
-        if len != n {
-            return Err(SnapshotError::Malformed("norm vector length"));
-        }
-        for v in dir.norm_sq.iter_mut() {
-            *v = r.f64()?;
-        }
-        let len = r.len(1)?;
-        if len != n {
-            return Err(SnapshotError::Malformed("position vector length"));
-        }
-        for pos in dir.last_pos.iter_mut() {
-            *pos = match r.u8()? {
-                0 => None,
-                1 => Some(Vec2 {
-                    x: r.f64()?,
-                    y: r.f64()?,
-                }),
-                _ => return Err(SnapshotError::Malformed("bad option tag")),
-            };
-        }
-        let len = r.len(8)?;
-        if len != n {
-            return Err(SnapshotError::Malformed("member list count"));
-        }
-        for m in dir.members.iter_mut() {
-            *m = get_usize_set(&mut r)?;
-        }
-        let len = r.len(8)?;
-        if len != n {
-            return Err(SnapshotError::Malformed("pending list count"));
-        }
-        for p in dir.pending.iter_mut() {
-            *p = get_membership_list(&mut r)?;
-        }
+        dir.norm_sq = r.seq(8, Reader::f64)?;
+        expect_len(dir.norm_sq.len(), n, "norm vector length")?;
+        dir.last_pos = r.seq(1, |r| r.opt(get_vec2))?;
+        expect_len(dir.last_pos.len(), n, "position vector length")?;
+        dir.members = r.seq(8, |r| -> Result<_, DecodeError> {
+            Ok(r.seq(8, Reader::usize)?.into_iter().collect())
+        })?;
+        expect_len(dir.members.len(), n, "member list count")?;
+        dir.pending = r.seq(8, get_membership_list)?;
+        expect_len(dir.pending.len(), n, "pending list count")?;
     }
 
     // --- hosts ---------------------------------------------------------
-    let n_hosts = r.len(1)?;
-    if n_hosts != n {
-        return Err(SnapshotError::Malformed("host count"));
-    }
+    expect_len(r.len(1)?, n, "host count")?;
     for h in sim.hosts.iter_mut() {
         h.connected = r.bool()?;
         let n_entries = r.len(49)?;
@@ -1297,40 +898,29 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
             };
             h.cache.restore_entry(key, entry);
         }
-        let len = r.len(2)?;
-        if len != h.counting.counters().len() {
-            return Err(SnapshotError::Malformed("counting filter width"));
-        }
-        let mut counters = Vec::with_capacity(len);
-        for _ in 0..len {
-            counters.push(r.u16()?);
-        }
+        let counters = r.seq(2, Reader::u16)?;
+        expect_len(
+            counters.len(),
+            h.counting.counters().len(),
+            "counting filter width",
+        )?;
         h.counting.restore_counters(&counters);
-        let len = r.len(4)?;
-        if len != h.peer_vector.counters().len() {
-            return Err(SnapshotError::Malformed("peer vector width"));
-        }
-        let mut counters = Vec::with_capacity(len);
-        for _ in 0..len {
-            counters.push(r.u32()?);
-        }
+        let counters = r.seq(4, Reader::u32)?;
+        expect_len(
+            counters.len(),
+            h.peer_vector.counters().len(),
+            "peer vector width",
+        )?;
         h.peer_vector.restore_counters(&counters);
-        h.tcg = get_usize_set(&mut r)?;
-        h.outstand_sig = get_usize_set(&mut r)?;
-        h.pending_insert = get_u32_set(&mut r)?;
-        h.pending_evict = get_u32_set(&mut r)?;
+        h.tcg = r.seq(8, Reader::usize)?.into_iter().collect();
+        h.outstand_sig = r.seq(8, Reader::usize)?.into_iter().collect();
+        h.pending_insert = r.seq(4, Reader::u32)?.into_iter().collect();
+        h.pending_evict = r.seq(4, Reader::u32)?.into_iter().collect();
         h.departed_since_recollect = r.u32()?;
-        let len = r.len(8)?;
-        h.peer_retrieved_log = (0..len)
-            .map(|_| r.u64().map(ItemId::new))
-            .collect::<Result<_, _>>()?;
+        h.peer_retrieved_log = r.seq(8, get_item)?;
         h.search_stats = get_welford(&mut r)?;
         h.gen = r.u64()?;
-        h.pending = match r.u8()? {
-            0 => None,
-            1 => Some(get_pending(&mut r)?),
-            _ => return Err(SnapshotError::Malformed("bad option tag")),
-        };
+        h.pending = r.opt(get_pending)?;
         h.last_server_contact = r.time()?;
         h.cache_filled = r.bool()?;
         h.consecutive_search_failures = r.u32()?;
@@ -1338,63 +928,33 @@ pub(crate) fn decode(cfg: SimConfig, bytes: &[u8]) -> Result<ResumedSimulation, 
     }
 
     // --- push schedule, popularity, NDP, activity ----------------------
-    let len = r.len(8)?;
-    let mut push_items = Vec::with_capacity(len);
-    for _ in 0..len {
-        push_items.push(r.u64()?);
-    }
+    let push_items = r.seq(8, Reader::u64)?;
     let slot_time = r.time()?;
     if !push_items.is_empty() && slot_time == SimTime::ZERO {
         return Err(SnapshotError::Malformed("zero push slot"));
     }
     sim.push = grococa_net::PushSchedule::new(push_items, slot_time);
-    let len = r.len(8)?;
-    if len != sim.popularity.len() {
-        return Err(SnapshotError::Malformed("popularity length"));
-    }
-    for p in sim.popularity.iter_mut() {
-        *p = r.u64()?;
-    }
+    let popularity = r.seq(8, Reader::u64)?;
+    expect_len(popularity.len(), sim.popularity.len(), "popularity length")?;
+    sim.popularity = popularity;
     let has_ndp = r.bool()?;
     if has_ndp != sim.ndp.is_some() {
         return Err(SnapshotError::Malformed("NDP presence"));
     }
     if let Some(ndp) = sim.ndp.as_mut() {
         let pairs = n * (n - 1) / 2;
-        let len = r.len(1)?;
-        if len != pairs {
-            return Err(SnapshotError::Malformed("NDP link vector length"));
-        }
-        let mut linked = Vec::with_capacity(len);
-        for _ in 0..len {
-            linked.push(r.bool()?);
-        }
-        let len = r.len(4)?;
-        if len != pairs {
-            return Err(SnapshotError::Malformed("NDP miss vector length"));
-        }
-        let mut missed = Vec::with_capacity(len);
-        for _ in 0..len {
-            missed.push(r.u32()?);
-        }
+        let linked = r.seq(1, Reader::bool)?;
+        expect_len(linked.len(), pairs, "NDP link vector length")?;
+        let missed = r.seq(4, Reader::u32)?;
+        expect_len(missed.len(), pairs, "NDP miss vector length")?;
         ndp.restore_state(&linked, &missed);
     }
-    let len = r.len(1)?;
-    if len != n {
-        return Err(SnapshotError::Malformed("activity vector length"));
-    }
-    for b in sim.active.iter_mut() {
-        *b = r.bool()?;
-    }
+    sim.active = r.seq(1, Reader::bool)?;
+    expect_len(sim.active.len(), n, "activity vector length")?;
 
     // --- RNG substreams ------------------------------------------------
-    let len = r.len(32)?;
-    if len != n {
-        return Err(SnapshotError::Malformed("host RNG count"));
-    }
-    for rng in sim.host_rngs.iter_mut() {
-        *rng = get_rng(&mut r)?;
-    }
+    sim.host_rngs = r.seq(32, get_rng)?;
+    expect_len(sim.host_rngs.len(), n, "host RNG count")?;
     sim.rng_updates = get_rng(&mut r)?;
     sim.fault_rng = get_rng(&mut r)?;
 

@@ -22,8 +22,7 @@
 //!   version. [`Journal::open_or_create`] refuses to resume when the
 //!   fingerprint does not match — a journal written by different sweep
 //!   arguments (or a different code version) must never seed a resume.
-//! * Every **record** carries a SplitMix64-derived [`checksum`] of its
-//!   payload. On open, records are scanned in order; the first truncated
+//! * Every **record** carries the [`checksum`] of its payload. On open, records are scanned in order; the first truncated
 //!   or corrupt record ends the scan, the damaged tail is discarded (the
 //!   file is truncated back to the last intact record) and a warning
 //!   describes what was dropped. A crash mid-append therefore costs at
@@ -31,10 +30,12 @@
 //! * Payload bytes are the caller's business; the journal stores and
 //!   returns them verbatim.
 //!
-//! The crate is dependency-free and performs no I/O beyond the journal
-//! file itself; the pure [`encode_record`] / [`scan_records`] /
-//! [`encode_header`] / [`decode_header`] helpers are exposed so property
-//! tests can drive the codec adversarially without touching a filesystem.
+//! Header and record framing are written with [`grococa_sim::codec`],
+//! the workspace's one binary codec, and [`checksum`] is that codec's
+//! checksum. The crate performs no I/O beyond the journal file itself;
+//! the pure [`encode_record`] / [`scan_records`] / [`encode_header`] /
+//! [`decode_header`] helpers are exposed so property tests can drive the
+//! framing adversarially without touching a filesystem.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +46,8 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use grococa_sim::codec::{checksum, DecodeError, Reader, Writer};
+
 /// The 8-byte magic prefix of every journal file (versioned: a future
 /// incompatible format bumps the trailing digit).
 pub const MAGIC: &[u8; 8] = b"GCJRNL1\n";
@@ -53,35 +56,6 @@ pub const MAGIC: &[u8; 8] = b"GCJRNL1\n";
 /// not make the reader attempt a multi-gigabyte allocation; sweep-cell
 /// records are a few hundred bytes, so 16 MiB is generous headroom.
 pub const MAX_RECORD_LEN: u32 = 16 << 20;
-
-/// A SplitMix64-derived checksum of `bytes`.
-///
-/// Each 8-byte chunk (zero-padded at the tail) is folded through the
-/// SplitMix64 finaliser, and the total length is mixed in last so padded
-/// tails cannot collide with genuine zero bytes. Not cryptographic — it
-/// guards against torn writes and bit rot, not adversaries.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(grococa_journal::checksum(b"abc"), grococa_journal::checksum(b"abc"));
-/// assert_ne!(grococa_journal::checksum(b"abc"), grococa_journal::checksum(b"abd"));
-/// assert_ne!(grococa_journal::checksum(b"abc"), grococa_journal::checksum(b"abc\0"));
-/// ```
-pub fn checksum(bytes: &[u8]) -> u64 {
-    fn mix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut h = 0x6A09_E667_F3BC_C909u64;
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h ^ u64::from_le_bytes(word));
-    }
-    mix(h ^ (bytes.len() as u64))
-}
 
 /// What a journal header asserts about the sweep that wrote it. Two
 /// journals are interchangeable exactly when their fingerprints are equal.
@@ -235,15 +209,14 @@ fn classify_sync(e: std::io::Error) -> AppendError {
 
 /// Encodes a header for `fp` (magic through header checksum).
 pub fn encode_header(fp: &Fingerprint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 + 8 + 4 + fp.version.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&fp.config_hash.to_le_bytes());
-    out.extend_from_slice(&fp.cells.to_le_bytes());
-    out.extend_from_slice(&(fp.version.len() as u32).to_le_bytes());
-    out.extend_from_slice(fp.version.as_bytes());
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    let mut w = Writer::with_capacity(8 + 8 + 8 + 4 + fp.version.len() + 8);
+    w.bytes(MAGIC);
+    w.u64(fp.config_hash);
+    w.u64(fp.cells);
+    w.str(&fp.version);
+    let sum = checksum(w.as_slice());
+    w.u64(sum);
+    w.into_vec()
 }
 
 /// Decodes a header from the front of `bytes`, returning the fingerprint
@@ -253,52 +226,41 @@ pub fn encode_header(fp: &Fingerprint) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a human-readable description of the first structural problem
-/// (short file, wrong magic, oversized version field, checksum mismatch,
-/// non-UTF-8 version).
+/// (short file, wrong magic, truncated field, non-UTF-8 version,
+/// checksum mismatch).
 pub fn decode_header(bytes: &[u8]) -> Result<(Fingerprint, usize), String> {
-    if bytes.len() < 8 {
-        return Err("file is shorter than the journal magic".to_string());
+    let mut r = Reader::new(bytes);
+    let magic = r
+        .bytes(MAGIC.len())
+        .map_err(|_| "file is shorter than the journal magic".to_string())?;
+    if magic != MAGIC {
+        return Err(format!("bad magic {magic:?}"));
     }
-    if &bytes[..8] != MAGIC {
-        return Err(format!("bad magic {:?}", &bytes[..8]));
-    }
-    if bytes.len() < 28 {
-        return Err("header is truncated".to_string());
-    }
-    let config_hash = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-    let cells = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-    let version_len = u32::from_le_bytes(bytes[24..28].try_into().expect("4-byte slice")) as usize;
-    if version_len > 1024 {
-        return Err(format!("implausible version length {version_len}"));
-    }
-    let end = 28usize.saturating_add(version_len);
-    if bytes.len() < end + 8 {
-        return Err("header is truncated".to_string());
-    }
-    let stored = u64::from_le_bytes(bytes[end..end + 8].try_into().expect("8-byte slice"));
-    if stored != checksum(&bytes[..end]) {
+    let field = |e: DecodeError| format!("header: {e}");
+    let config_hash = r.u64().map_err(field)?;
+    let cells = r.u64().map_err(field)?;
+    let version = r.str().map_err(field)?.to_string();
+    let covered = r.pos();
+    if r.u64().map_err(field)? != checksum(&bytes[..covered]) {
         return Err("header checksum mismatch".to_string());
     }
-    let version = std::str::from_utf8(&bytes[28..end])
-        .map_err(|_| "version field is not UTF-8".to_string())?
-        .to_string();
     Ok((
         Fingerprint {
             config_hash,
             cells,
             version,
         },
-        end + 8,
+        r.pos(),
     ))
 }
 
 /// Encodes one record: length prefix, payload, payload checksum.
 pub fn encode_record(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out
+    let mut w = Writer::with_capacity(4 + payload.len() + 8);
+    w.u32(payload.len() as u32);
+    w.bytes(payload);
+    w.u64(checksum(payload));
+    w.into_vec()
 }
 
 /// The result of scanning a record region: the intact payload prefix, how
@@ -319,30 +281,26 @@ pub struct Scan {
 /// truncation and corruption are data, not panics.
 pub fn scan_records(bytes: &[u8]) -> Scan {
     let mut records = Vec::new();
+    let mut r = Reader::new(bytes);
     let mut at = 0usize;
     let damage = loop {
-        let rest = &bytes[at..];
-        if rest.is_empty() {
+        if r.remaining() == 0 {
             break None;
         }
-        if rest.len() < 4 {
+        let Ok(len) = r.u32() else {
             break Some(format!("truncated length prefix at offset {at}"));
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4-byte slice"));
+        };
         if len > MAX_RECORD_LEN {
             break Some(format!("implausible record length {len} at offset {at}"));
         }
-        let len = len as usize;
-        if rest.len() < 4 + len + 8 {
+        let (Ok(payload), Ok(stored)) = (r.bytes(len as usize), r.u64()) else {
             break Some(format!("truncated record at offset {at}"));
-        }
-        let payload = &rest[4..4 + len];
-        let stored = u64::from_le_bytes(rest[4 + len..4 + len + 8].try_into().expect("8 bytes"));
+        };
         if stored != checksum(payload) {
             break Some(format!("record checksum mismatch at offset {at}"));
         }
         records.push(payload.to_vec());
-        at += 4 + len + 8;
+        at = r.pos();
     };
     Scan {
         records,
@@ -903,6 +861,22 @@ mod tests {
         let (decoded, len) = decode_header(&bytes).expect("decodes");
         assert_eq!(decoded, fp());
         assert_eq!(len, bytes.len());
+    }
+
+    #[test]
+    fn header_and_record_bytes_are_pinned() {
+        let mut want = b"GCJRNL1\n".to_vec();
+        want.extend([0x67, 0x45, 0x23, 0x01, 0xEF, 0xBE, 0xAD, 0xDE]); // config_hash
+        want.extend([9, 0, 0, 0, 0, 0, 0, 0]); // cells
+        want.extend([5, 0, 0, 0]); // version length
+        want.extend(b"0.1.0");
+        want.extend([0x3A, 0xE7, 0xC2, 0x37, 0xDA, 0x21, 0x94, 0x4E]); // checksum
+        assert_eq!(encode_header(&fp()), want);
+
+        let mut want = vec![3, 0, 0, 0];
+        want.extend(b"abc");
+        want.extend([0x62, 0x98, 0xA2, 0xBB, 0x56, 0xBC, 0x04, 0x8C]);
+        assert_eq!(encode_record(b"abc"), want);
     }
 
     #[test]

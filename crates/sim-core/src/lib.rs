@@ -7,6 +7,8 @@
 //! estimators the protocols rely on ([`Welford`], [`Ewma`]), and
 //! insertion-ordered deterministic collections ([`DetMap`], [`DetSet`])
 //! that replace the hash-order-dependent `std` maps in simulation code.
+//! [`codec`] is the one binary codec and checksum behind every format
+//! the workspace persists.
 //!
 //! # Examples
 //!
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 mod det;
 mod event;
 mod facility;

@@ -7,9 +7,10 @@
 //! resumable prefix.
 
 use grococa::journal::{
-    checksum, decode_header, encode_header, encode_record, recover, scan_records, FaultMode,
-    FaultScript, FaultyBackend, Fingerprint, Journal, MemBackend,
+    decode_header, encode_header, encode_record, recover, scan_records, FaultMode, FaultScript,
+    FaultyBackend, Fingerprint, Journal, MemBackend,
 };
+use grococa::sim::codec::checksum;
 use proptest::prelude::*;
 use std::path::Path;
 
